@@ -8,13 +8,9 @@
 //!
 //! Plain `fn main()` harness (no external bench framework) so the
 //! workspace builds offline; run with `cargo bench --bench fuzz_throughput`.
-//!
-//! Pass `--report <path>` to also emit a small JSON report
-//! (schema `snslp-bench-fuzz-throughput/v1`) with both throughputs.
 
 use std::time::Instant;
 
-use snslp_bench::report::Json;
 use snslp_cost::CostModel;
 use snslp_fuzz::{check_case, generate, ALL_MODES};
 
@@ -23,17 +19,6 @@ const GEN_CASES: u64 = 2000;
 const CHECK_CASES: u64 = 400;
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let mut report_path = None;
-    while let Some(arg) = args.next() {
-        if arg == "--report" {
-            report_path = Some(args.next().unwrap_or_else(|| {
-                eprintln!("--report needs a path");
-                std::process::exit(2);
-            }));
-        }
-    }
-
     let start = Instant::now();
     let mut insts = 0usize;
     for i in 0..GEN_CASES {
@@ -63,38 +48,4 @@ fn main() {
         CHECK_CASES as f64 / check_s
     );
     assert_eq!(divergences, 0, "fuzz bench found real divergences");
-
-    if let Some(path) = report_path {
-        let doc = Json::Obj(vec![
-            (
-                "schema".to_string(),
-                Json::Str("snslp-bench-fuzz-throughput/v1".to_string()),
-            ),
-            (
-                "generate".to_string(),
-                Json::Obj(vec![
-                    ("cases".to_string(), Json::Num(GEN_CASES as f64)),
-                    (
-                        "cases_per_s".to_string(),
-                        Json::Num((GEN_CASES as f64 / gen_s).round()),
-                    ),
-                ]),
-            ),
-            (
-                "check".to_string(),
-                Json::Obj(vec![
-                    ("cases".to_string(), Json::Num(CHECK_CASES as f64)),
-                    (
-                        "cases_per_s".to_string(),
-                        Json::Num((CHECK_CASES as f64 / check_s).round()),
-                    ),
-                ]),
-            ),
-        ]);
-        std::fs::write(&path, doc.render()).unwrap_or_else(|e| {
-            eprintln!("writing {path}: {e}");
-            std::process::exit(1);
-        });
-        println!("report written to {path}");
-    }
 }

@@ -24,7 +24,7 @@ use snslp_cost::CostModel;
 use snslp_interp::{run_with_args, ExecOptions};
 use snslp_trace::{DecisionId, Facet, Profile, Stage};
 
-use crate::json::{check_schema, round3, Json};
+use crate::json::{obj, read_text, round3, Json, View};
 use crate::stats::mode_code;
 
 /// The schema tag every attribution report carries; bump on breaking
@@ -302,89 +302,53 @@ pub fn collect_kernel_attrib(cfg: &SlpConfig) -> AttribReport {
 impl AttribReport {
     /// Renders the report as pretty `snslp-report/v1` JSON.
     pub fn to_json(&self) -> String {
+        let decision = |d: &DecisionRow| {
+            obj([
+                ("id", d.id.as_str().into()),
+                ("block", d.block.as_str().into()),
+                ("site", d.site.as_str().into()),
+                ("inst", d.inst.into()),
+                ("seed", d.seed_kind.as_str().into()),
+                ("width", d.width.into()),
+                ("action", action_str(d.vectorized).into()),
+                ("reason", d.reason.as_str().into()),
+                ("cost", d.cost.into()),
+                ("detail", d.detail.as_str().into()),
+                ("compile_ns", d.compile_ns.into()),
+                ("native_count", d.native_count.into()),
+                ("native_ns", d.native_ns.into()),
+                ("dot", d.dot.as_str().into()),
+            ])
+        };
         let functions = self
             .functions
             .iter()
             .map(|f| {
-                let decisions = f
-                    .decisions
-                    .iter()
-                    .map(|d| {
-                        Json::Obj(vec![
-                            ("id".to_string(), Json::Str(d.id.clone())),
-                            ("block".to_string(), Json::Str(d.block.clone())),
-                            ("site".to_string(), Json::Str(d.site.clone())),
-                            ("inst".to_string(), Json::Num(d.inst as f64)),
-                            ("seed".to_string(), Json::Str(d.seed_kind.clone())),
-                            ("width".to_string(), Json::Num(d.width as f64)),
-                            (
-                                "action".to_string(),
-                                Json::Str(action_str(d.vectorized).to_string()),
-                            ),
-                            ("reason".to_string(), Json::Str(d.reason.clone())),
-                            (
-                                "cost".to_string(),
-                                match d.cost {
-                                    Some(c) => Json::Num(c as f64),
-                                    None => Json::Null,
-                                },
-                            ),
-                            ("detail".to_string(), Json::Str(d.detail.clone())),
-                            ("compile_ns".to_string(), Json::Num(d.compile_ns as f64)),
-                            (
-                                "native_count".to_string(),
-                                match d.native_count {
-                                    Some(c) => Json::Num(c as f64),
-                                    None => Json::Null,
-                                },
-                            ),
-                            (
-                                "native_ns".to_string(),
-                                match d.native_ns {
-                                    Some(ns) => Json::Num(ns as f64),
-                                    None => Json::Null,
-                                },
-                            ),
-                            ("dot".to_string(), Json::Str(d.dot.clone())),
-                        ])
-                    })
-                    .collect();
-                Json::Obj(vec![
-                    ("unit".to_string(), Json::Str(f.unit.clone())),
-                    ("function".to_string(), Json::Str(f.function.clone())),
+                obj([
+                    ("unit", f.unit.as_str().into()),
+                    ("function", f.function.as_str().into()),
+                    ("predicted_cost", f.predicted_cost.into()),
+                    ("cycles", f.cycles.into()),
+                    ("o3_cycles", f.o3_cycles.into()),
+                    ("dyn_insts", f.dyn_insts.into()),
+                    ("vector_ops", f.vector_ops.into()),
+                    ("scalar_ops", f.scalar_ops.into()),
+                    ("mean_lanes", f.mean_lanes.map(round3).into()),
                     (
-                        "predicted_cost".to_string(),
-                        Json::Num(f.predicted_cost as f64),
-                    ),
-                    ("cycles".to_string(), Json::Num(f.cycles as f64)),
-                    ("o3_cycles".to_string(), Json::Num(f.o3_cycles as f64)),
-                    ("dyn_insts".to_string(), Json::Num(f.dyn_insts as f64)),
-                    ("vector_ops".to_string(), Json::Num(f.vector_ops as f64)),
-                    ("scalar_ops".to_string(), Json::Num(f.scalar_ops as f64)),
-                    (
-                        "mean_lanes".to_string(),
-                        match f.mean_lanes {
-                            Some(l) => Json::Num(round3(l)),
-                            None => Json::Null,
-                        },
+                        "stages_us",
+                        obj(f.stages_us.iter().map(|(k, v)| (k.as_str(), (*v).into()))),
                     ),
                     (
-                        "stages_us".to_string(),
-                        Json::Obj(
-                            f.stages_us
-                                .iter()
-                                .map(|(k, v)| (k.clone(), Json::Num(*v)))
-                                .collect(),
-                        ),
+                        "decisions",
+                        Json::Arr(f.decisions.iter().map(decision).collect()),
                     ),
-                    ("decisions".to_string(), Json::Arr(decisions)),
                 ])
             })
             .collect();
-        Json::Obj(vec![
-            ("schema".to_string(), Json::Str(REPORT_SCHEMA.to_string())),
-            ("mode".to_string(), Json::Str(self.mode.clone())),
-            ("functions".to_string(), Json::Arr(functions)),
+        obj([
+            ("schema", REPORT_SCHEMA.into()),
+            ("mode", self.mode.as_str().into()),
+            ("functions", Json::Arr(functions)),
         ])
         .render()
     }
@@ -393,119 +357,16 @@ impl AttribReport {
     /// fields, parseable and unique decision ids per function, plausible
     /// numbers.
     pub fn from_json(text: &str) -> Result<AttribReport, String> {
-        let doc = Json::parse(text)?;
-        check_schema(&doc, REPORT_SCHEMA)?;
-        let mode = str_field(&doc, "report", "mode")?;
-        let mut functions = Vec::new();
-        for row in doc
-            .get("functions")
-            .and_then(Json::as_arr)
-            .ok_or("missing functions array")?
-        {
-            let unit = str_field(row, "function row", "unit")?;
-            let function = str_field(row, "function row", "function")?;
-            let ctx = format!("{unit}/@{function}");
-            let predicted_cost = int_field(row, &ctx, "predicted_cost")?;
-            let cycles = count_field(row, &ctx, "cycles")?;
-            let o3_cycles = count_field(row, &ctx, "o3_cycles")?;
-            let dyn_insts = count_field(row, &ctx, "dyn_insts")?;
-            let vector_ops = count_field(row, &ctx, "vector_ops")?;
-            let scalar_ops = count_field(row, &ctx, "scalar_ops")?;
-            let mean_lanes = match row.get("mean_lanes") {
-                Some(Json::Null) | None => None,
-                Some(v) => {
-                    let l = v
-                        .as_num()
-                        .filter(|l| l.is_finite() && *l >= 1.0)
-                        .ok_or(format!("{ctx}: implausible mean_lanes"))?;
-                    Some(l)
-                }
-            };
-            let Some(Json::Obj(stage_members)) = row.get("stages_us") else {
-                return Err(format!("{ctx}: missing stages_us object"));
-            };
-            let mut stages_us = Vec::new();
-            for (name, v) in stage_members {
-                let us = v
-                    .as_num()
-                    .filter(|us| us.is_finite() && *us >= 0.0)
-                    .ok_or(format!("{ctx}: implausible stage time for `{name}`"))?;
-                stages_us.push((name.clone(), us));
-            }
-            let mut decisions = Vec::new();
-            let mut seen = std::collections::BTreeSet::new();
-            for d in row
-                .get("decisions")
-                .and_then(Json::as_arr)
-                .ok_or(format!("{ctx}: missing decisions array"))?
-            {
-                let id = str_field(d, &ctx, "id")?;
-                let parsed = DecisionId::parse(&id).map_err(|e| format!("{ctx}: {e}"))?;
-                if parsed.function != function {
-                    return Err(format!(
-                        "{ctx}: decision `{id}` belongs to another function"
-                    ));
-                }
-                if !seen.insert(id.clone()) {
-                    return Err(format!("{ctx}: duplicate decision id `{id}`"));
-                }
-                let action = str_field(d, &ctx, "action")?;
-                let vectorized = match action.as_str() {
-                    "vectorized" => true,
-                    "missed" => false,
-                    other => return Err(format!("{ctx}: unknown action `{other}`")),
-                };
-                let cost = match d.get("cost") {
-                    Some(Json::Null) | None => None,
-                    Some(v) => Some(
-                        v.as_num()
-                            .filter(|c| c.is_finite() && c.fract() == 0.0)
-                            .ok_or(format!("{ctx}: implausible cost on `{id}`"))?
-                            as i64,
-                    ),
-                };
-                let native_count = opt_count_field(d, &ctx, "native_count", &id)?;
-                let native_ns = opt_count_field(d, &ctx, "native_ns", &id)?;
-                if native_count.is_some() != native_ns.is_some() {
-                    return Err(format!(
-                        "{ctx}: `{id}` has only one of native_count/native_ns"
-                    ));
-                }
-                decisions.push(DecisionRow {
-                    id,
-                    block: str_field(d, &ctx, "block")?,
-                    site: str_field(d, &ctx, "site")?,
-                    inst: count_field(d, &ctx, "inst")?,
-                    seed_kind: str_field(d, &ctx, "seed")?,
-                    width: count_field(d, &ctx, "width")?,
-                    vectorized,
-                    reason: str_field(d, &ctx, "reason")?,
-                    cost,
-                    detail: str_field(d, &ctx, "detail")?,
-                    compile_ns: count_field(d, &ctx, "compile_ns")?,
-                    native_count,
-                    native_ns,
-                    dot: str_field(d, &ctx, "dot")?,
-                });
-            }
-            functions.push(FunctionAttrib {
-                unit,
-                function,
-                decisions,
-                predicted_cost,
-                cycles,
-                o3_cycles,
-                dyn_insts,
-                vector_ops,
-                scalar_ops,
-                mean_lanes,
-                stages_us,
-            });
-        }
-        if functions.is_empty() {
+        let report = read_text(text, REPORT_SCHEMA, |o| {
+            Ok(AttribReport {
+                mode: o.str("mode")?.to_string(),
+                functions: o.objs("functions", function_from_json)?,
+            })
+        })?;
+        if report.functions.is_empty() {
             return Err("report has no functions".to_string());
         }
-        Ok(AttribReport { mode, functions })
+        Ok(report)
     }
 
     /// One-line human summary.
@@ -533,38 +394,69 @@ fn action_str(vectorized: bool) -> &'static str {
     }
 }
 
-fn str_field(obj: &Json, ctx: &str, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or(format!("{ctx}: missing string field `{key}`"))
-}
-
-fn count_field(obj: &Json, ctx: &str, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_num)
-        .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-        .map(|n| n as u64)
-        .ok_or(format!("{ctx}: missing or implausible count `{key}`"))
-}
-
-fn opt_count_field(obj: &Json, ctx: &str, key: &str, id: &str) -> Result<Option<u64>, String> {
-    match obj.get(key) {
-        Some(Json::Null) | None => Ok(None),
-        Some(v) => v
-            .as_num()
-            .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-            .map(|n| Some(n as u64))
-            .ok_or(format!("{ctx}: implausible {key} on `{id}`")),
+fn function_from_json(row: &mut View) -> Result<FunctionAttrib, String> {
+    let unit = row.str("unit")?.to_string();
+    let function = row.str("function")?.to_string();
+    let ctx = format!("{unit}/@{function}");
+    let f = FunctionAttrib {
+        predicted_cost: row.i64("predicted_cost")?,
+        cycles: row.u64("cycles")?,
+        o3_cycles: row.u64("o3_cycles")?,
+        dyn_insts: row.u64("dyn_insts")?,
+        vector_ops: row.u64("vector_ops")?,
+        scalar_ops: row.u64("scalar_ops")?,
+        mean_lanes: row.opt_f64("mean_lanes")?,
+        stages_us: row.obj("stages_us", |m| m.each(View::f64))?,
+        decisions: row.objs("decisions", |d| {
+            Ok(DecisionRow {
+                id: d.str("id")?.to_string(),
+                block: d.str("block")?.to_string(),
+                site: d.str("site")?.to_string(),
+                inst: d.u64("inst")?,
+                seed_kind: d.str("seed")?.to_string(),
+                width: d.u64("width")?,
+                vectorized: match d.str("action")? {
+                    "vectorized" => true,
+                    "missed" => false,
+                    other => return Err(format!("{ctx}: unknown action `{other}`")),
+                },
+                reason: d.str("reason")?.to_string(),
+                cost: d.opt_i64("cost")?,
+                detail: d.str("detail")?.to_string(),
+                compile_ns: d.u64("compile_ns")?,
+                native_count: d.opt_u64("native_count")?,
+                native_ns: d.opt_u64("native_ns")?,
+                dot: d.str("dot")?.to_string(),
+            })
+        })?,
+        unit,
+        function,
+    };
+    if f.mean_lanes.is_some_and(|l| l < 1.0) {
+        return Err(format!("{ctx}: implausible mean_lanes"));
     }
-}
-
-fn int_field(obj: &Json, ctx: &str, key: &str) -> Result<i64, String> {
-    obj.get(key)
-        .and_then(Json::as_num)
-        .filter(|n| n.is_finite() && n.fract() == 0.0)
-        .map(|n| n as i64)
-        .ok_or(format!("{ctx}: missing or implausible integer `{key}`"))
+    if let Some((name, _)) = f.stages_us.iter().find(|(_, us)| *us < 0.0) {
+        return Err(format!("{ctx}: implausible stage time for `{name}`"));
+    }
+    let mut seen = std::collections::BTreeSet::new();
+    for d in &f.decisions {
+        let id = &d.id;
+        let parsed = DecisionId::parse(id).map_err(|e| format!("{ctx}: {e}"))?;
+        if parsed.function != f.function {
+            return Err(format!(
+                "{ctx}: decision `{id}` belongs to another function"
+            ));
+        }
+        if !seen.insert(id) {
+            return Err(format!("{ctx}: duplicate decision id `{id}`"));
+        }
+        if d.native_count.is_some() != d.native_ns.is_some() {
+            return Err(format!(
+                "{ctx}: `{id}` has only one of native_count/native_ns"
+            ));
+        }
+    }
+    Ok(f)
 }
 
 // ---------------------------------------------------------------------

@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use snslp_interp::{DynProfile, OpClass};
 use snslp_trace::{ReasonCode, Remark};
 
-use crate::json::{check_schema, Json};
+use crate::json::{obj, read_text, Json, View};
 use crate::{measure_kernel_modes, DYN_MODES};
 
 /// The schema tag every dynstats report carries; bump on breaking format
@@ -115,43 +115,40 @@ pub struct DynReport {
 /// Panics if compilation or interpretation fails — both indicate a bug
 /// in the reproduction, not in inputs.
 pub fn collect_kernel_dyn() -> DynReport {
-    let kernels = snslp_kernels::registry()
+    DynReport {
+        kernels: snslp_kernels::registry().iter().map(kernel_dyn).collect(),
+    }
+}
+
+/// Measures one kernel under all four pipelines at its default
+/// iteration count.
+fn kernel_dyn(kernel: &snslp_kernels::Kernel) -> KernelDyn {
+    let row = measure_kernel_modes(kernel, kernel.default_iters, &DYN_MODES);
+    let modes = DYN_MODES
         .iter()
-        .map(|kernel| {
-            let row = measure_kernel_modes(kernel, kernel.default_iters, &DYN_MODES);
-            let modes = DYN_MODES
-                .iter()
-                .zip(DYN_LABELS)
-                .map(|(&mode, label)| {
-                    let r = row.result(mode);
-                    ModeDyn {
-                        label: label.to_string(),
-                        cycles: r.cycles,
-                        dyn_insts: r.dyn_insts,
-                        predicted_cost: r
-                            .report
-                            .as_ref()
-                            .map(|rep| rep.predicted_cost())
-                            .unwrap_or(0),
-                        vectorized_graphs: r
-                            .report
-                            .as_ref()
-                            .map(|rep| rep.vectorized_graphs() as u64)
-                            .unwrap_or(0),
-                        profile: r.profile.clone(),
-                        wall_ns: r.wall_ns,
-                        class_ns: r.class_ns,
-                    }
-                })
-                .collect();
-            KernelDyn {
-                name: kernel.name.to_string(),
-                iters: kernel.default_iters as u64,
-                modes,
+        .zip(DYN_LABELS)
+        .map(|(&mode, label)| {
+            let r = row.result(mode);
+            ModeDyn {
+                label: label.to_string(),
+                cycles: r.cycles,
+                dyn_insts: r.dyn_insts,
+                predicted_cost: r.report.as_ref().map_or(0, |rep| rep.predicted_cost()),
+                vectorized_graphs: r
+                    .report
+                    .as_ref()
+                    .map_or(0, |rep| rep.vectorized_graphs() as u64),
+                profile: r.profile.clone(),
+                wall_ns: r.wall_ns,
+                class_ns: r.class_ns,
             }
         })
         .collect();
-    DynReport { kernels }
+    KernelDyn {
+        name: kernel.name.to_string(),
+        iters: kernel.default_iters as u64,
+        modes,
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -689,21 +686,17 @@ impl DynReport {
             .kernels
             .iter()
             .map(|k| {
-                let modes = k
-                    .modes
-                    .iter()
-                    .map(|m| (m.label.clone(), mode_to_json(m)))
-                    .collect();
-                Json::Obj(vec![
-                    ("name".to_string(), Json::Str(k.name.clone())),
-                    ("iters".to_string(), Json::Num(k.iters as f64)),
-                    ("modes".to_string(), Json::Obj(modes)),
+                let modes = k.modes.iter().map(|m| (m.label.as_str(), mode_to_json(m)));
+                obj([
+                    ("name", k.name.as_str().into()),
+                    ("iters", k.iters.into()),
+                    ("modes", obj(modes)),
                 ])
             })
             .collect();
-        Json::Obj(vec![
-            ("schema".to_string(), Json::Str(DYNSTATS_SCHEMA.to_string())),
-            ("kernels".to_string(), Json::Arr(kernels)),
+        obj([
+            ("schema", DYNSTATS_SCHEMA.into()),
+            ("kernels", Json::Arr(kernels)),
         ])
         .render()
     }
@@ -712,32 +705,20 @@ impl DynReport {
     /// fields, and internal consistency (per-class op counts must sum to
     /// `dyn_insts`, per-class cycles to `cycles`).
     pub fn from_json(text: &str) -> Result<DynReport, String> {
-        let doc = Json::parse(text)?;
-        check_schema(&doc, DYNSTATS_SCHEMA)?;
-        let mut kernels = Vec::new();
-        for row in doc
-            .get("kernels")
-            .and_then(Json::as_arr)
-            .ok_or("missing kernels")?
-        {
-            let name = row
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("kernel row missing name")?
-                .to_string();
-            let iters = num_field(row, "iters", &name)?;
-            let Some(Json::Obj(mode_members)) = row.get("modes") else {
-                return Err(format!("kernel {name}: missing modes object"));
-            };
-            let mut modes = Vec::new();
-            for (label, m) in mode_members {
-                modes.push(mode_from_json(label, m, &name)?);
-            }
-            if modes.is_empty() {
-                return Err(format!("kernel {name}: no modes"));
-            }
-            kernels.push(KernelDyn { name, iters, modes });
-        }
+        let kernels = read_text(text, DYNSTATS_SCHEMA, |o| {
+            o.objs("kernels", |row| {
+                let name = row.str("name")?.to_string();
+                let iters = row.u64("iters")?;
+                let modes = row.obj("modes", |m| {
+                    m.each(|m, label| m.obj(label, |m| mode_from_json(label, m, &name)))
+                })?;
+                if modes.is_empty() {
+                    return Err(format!("kernel {name}: no modes"));
+                }
+                let modes = modes.into_iter().map(|(_, m)| m).collect();
+                Ok(KernelDyn { name, iters, modes })
+            })
+        })?;
         if kernels.is_empty() {
             return Err("report has no kernels".to_string());
         }
@@ -745,161 +726,110 @@ impl DynReport {
     }
 }
 
+/// An [`OpClass`]-keyed object of per-class values, [`OpClass::ALL`]
+/// order — the shape of every per-class member in dynstats and hot.
+pub(crate) fn classes_to_json(values: &[u64; OpClass::ALL.len()]) -> Json {
+    obj(OpClass::ALL
+        .iter()
+        .map(|&c| (c.name(), values[c.index()].into())))
+}
+
+/// Reads an object written by [`classes_to_json`]: exactly one count
+/// per [`OpClass`].
+pub(crate) fn classes_from_json(o: &mut View) -> Result<[u64; OpClass::ALL.len()], String> {
+    let mut values = [0u64; OpClass::ALL.len()];
+    for c in OpClass::ALL {
+        values[c.index()] = o.u64(c.name())?;
+    }
+    Ok(values)
+}
+
 fn mode_to_json(m: &ModeDyn) -> Json {
     let p = &m.profile;
-    let wall = m
-        .wall_ns
-        .map(|w| ("wall_ns".to_string(), Json::Num(w as f64)));
-    let class_ns = m.class_ns.map(|ns| {
-        (
-            "class_ns".to_string(),
-            Json::Obj(
-                OpClass::ALL
-                    .iter()
-                    .map(|&c| (c.name().to_string(), Json::Num(ns[c.index()] as f64)))
-                    .collect(),
-            ),
-        )
-    });
-    let ops = OpClass::ALL
-        .iter()
-        .map(|&c| (c.name().to_string(), Json::Num(p.ops_of(c) as f64)))
-        .collect();
-    let cycles = OpClass::ALL
-        .iter()
-        .map(|&c| (c.name().to_string(), Json::Num(p.cycles_of(c) as f64)))
-        .collect();
     let lanes = (1..p.lanes_hist.len())
         .filter(|&w| p.lanes_hist[w] > 0)
-        .map(|w| (w.to_string(), Json::Num(p.lanes_hist[w] as f64)))
-        .collect();
+        .map(|w| (w.to_string(), p.lanes_hist[w].into()));
     let mut members = vec![
-        ("cycles".to_string(), Json::Num(m.cycles as f64)),
-        ("dyn_insts".to_string(), Json::Num(m.dyn_insts as f64)),
-        (
-            "predicted_cost".to_string(),
-            Json::Num(m.predicted_cost as f64),
-        ),
-        (
-            "vectorized_graphs".to_string(),
-            Json::Num(m.vectorized_graphs as f64),
-        ),
+        ("cycles", m.cycles.into()),
+        ("dyn_insts", m.dyn_insts.into()),
+        ("predicted_cost", m.predicted_cost.into()),
+        ("vectorized_graphs", m.vectorized_graphs.into()),
     ];
     // Optional so baselines written on hosts without the native backend
     // (or before the JIT existed) stay parseable.
-    members.extend(wall);
-    members.extend(class_ns);
+    members.extend(m.wall_ns.map(|w| ("wall_ns", w.into())));
+    members.extend(m.class_ns.map(|ns| ("class_ns", classes_to_json(&ns))));
     members.push((
-        "profile".to_string(),
-        Json::Obj(vec![
-            ("ops".to_string(), Json::Obj(ops)),
-            ("class_cycles".to_string(), Json::Obj(cycles)),
-            ("scalar_ops".to_string(), Json::Num(p.scalar_ops as f64)),
-            ("vector_ops".to_string(), Json::Num(p.vector_ops as f64)),
-            ("lane_slots".to_string(), Json::Num(p.lane_slots as f64)),
-            ("lanes".to_string(), Json::Obj(lanes)),
-            ("loads".to_string(), Json::Num(p.loads as f64)),
-            ("stores".to_string(), Json::Num(p.stores as f64)),
-            ("bytes_loaded".to_string(), Json::Num(p.bytes_loaded as f64)),
-            ("bytes_stored".to_string(), Json::Num(p.bytes_stored as f64)),
-            ("inserts".to_string(), Json::Num(p.inserts as f64)),
-            ("extracts".to_string(), Json::Num(p.extracts as f64)),
-            ("gathers".to_string(), Json::Num(p.gathers as f64)),
-            ("shuffles".to_string(), Json::Num(p.shuffles as f64)),
-            ("splats".to_string(), Json::Num(p.splats as f64)),
+        "profile",
+        obj([
+            ("ops", classes_to_json(&p.ops)),
+            ("class_cycles", classes_to_json(&p.cycles)),
+            ("scalar_ops", p.scalar_ops.into()),
+            ("vector_ops", p.vector_ops.into()),
+            ("lane_slots", p.lane_slots.into()),
+            ("lanes", obj(lanes)),
+            ("loads", p.loads.into()),
+            ("stores", p.stores.into()),
+            ("bytes_loaded", p.bytes_loaded.into()),
+            ("bytes_stored", p.bytes_stored.into()),
+            ("inserts", p.inserts.into()),
+            ("extracts", p.extracts.into()),
+            ("gathers", p.gathers.into()),
+            ("shuffles", p.shuffles.into()),
+            ("splats", p.splats.into()),
         ]),
     ));
-    Json::Obj(members)
+    obj(members)
 }
 
-fn num_field(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    let v = obj
-        .get(key)
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("{ctx}: missing {key}"))?;
-    if !(v.is_finite() && v >= 0.0 && v.fract() == 0.0) {
-        return Err(format!("{ctx}: implausible {key} = {v}"));
-    }
-    Ok(v as u64)
-}
-
-fn mode_from_json(label: &str, m: &Json, kernel: &str) -> Result<ModeDyn, String> {
+fn mode_from_json(label: &str, m: &mut View, kernel: &str) -> Result<ModeDyn, String> {
     let ctx = format!("kernel {kernel}/{label}");
-    let cycles = num_field(m, "cycles", &ctx)?;
-    let dyn_insts = num_field(m, "dyn_insts", &ctx)?;
-    let predicted_cost = m
-        .get("predicted_cost")
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("{ctx}: missing predicted_cost"))? as i64;
-    let vectorized_graphs = num_field(m, "vectorized_graphs", &ctx)?;
+    let cycles = m.u64("cycles")?;
+    let dyn_insts = m.u64("dyn_insts")?;
+    let predicted_cost = m.i64("predicted_cost")?;
+    let vectorized_graphs = m.u64("vectorized_graphs")?;
     // Optional: absent in baselines from hosts without the native JIT.
-    let wall_ns = match m.get("wall_ns") {
-        None => None,
-        Some(_) => Some(num_field(m, "wall_ns", &ctx)?),
-    };
-    let class_ns = match m.get("class_ns") {
-        None => None,
-        Some(obj) => {
-            let mut ns = [0u64; 5];
-            for c in OpClass::ALL {
-                ns[c.index()] = num_field(obj, c.name(), &ctx)?;
-            }
-            let Some(wall) = wall_ns else {
-                return Err(format!("{ctx}: class_ns present without wall_ns"));
-            };
-            let sum: u64 = ns.iter().sum();
-            if sum > wall {
-                return Err(format!(
-                    "{ctx}: class_ns sums to {sum} ns, more than wall_ns {wall}"
-                ));
-            }
-            Some(ns)
-        }
-    };
-    let prof = m
-        .get("profile")
-        .ok_or_else(|| format!("{ctx}: missing profile"))?;
-    let mut profile = DynProfile::new();
-    for (i, class) in OpClass::ALL.into_iter().enumerate() {
-        let ops = prof
-            .get("ops")
-            .ok_or_else(|| format!("{ctx}: missing profile.ops"))?;
-        let cyc = prof
-            .get("class_cycles")
-            .ok_or_else(|| format!("{ctx}: missing profile.class_cycles"))?;
-        profile.ops[i] = num_field(ops, class.name(), &ctx)?;
-        profile.cycles[i] = num_field(cyc, class.name(), &ctx)?;
-    }
-    profile.scalar_ops = num_field(prof, "scalar_ops", &ctx)?;
-    profile.vector_ops = num_field(prof, "vector_ops", &ctx)?;
-    profile.lane_slots = num_field(prof, "lane_slots", &ctx)?;
-    if let Some(Json::Obj(lanes)) = prof.get("lanes") {
-        for (w, n) in lanes {
+    let wall_ns = m.opt_u64("wall_ns")?;
+    let class_ns = m.opt_obj("class_ns", classes_from_json)?;
+    let profile = m.obj("profile", |prof| {
+        let mut profile = DynProfile::new();
+        profile.ops = prof.obj("ops", classes_from_json)?;
+        profile.cycles = prof.obj("class_cycles", classes_from_json)?;
+        profile.scalar_ops = prof.u64("scalar_ops")?;
+        profile.vector_ops = prof.u64("vector_ops")?;
+        profile.lane_slots = prof.u64("lane_slots")?;
+        for (w, n) in prof.obj("lanes", |l| l.each(View::u64))? {
             let w: usize = w
                 .parse()
                 .map_err(|_| format!("{ctx}: bad lane width key {w:?}"))?;
             if w == 0 || w >= profile.lanes_hist.len() {
                 return Err(format!("{ctx}: lane width {w} out of range"));
             }
-            profile.lanes_hist[w] = n
-                .as_num()
-                .filter(|v| v.is_finite() && *v >= 0.0 && v.fract() == 0.0)
-                .ok_or_else(|| format!("{ctx}: bad lane count for width {w}"))?
-                as u64;
+            profile.lanes_hist[w] = n;
         }
-    } else {
-        return Err(format!("{ctx}: missing profile.lanes"));
-    }
-    profile.loads = num_field(prof, "loads", &ctx)?;
-    profile.stores = num_field(prof, "stores", &ctx)?;
-    profile.bytes_loaded = num_field(prof, "bytes_loaded", &ctx)?;
-    profile.bytes_stored = num_field(prof, "bytes_stored", &ctx)?;
-    profile.inserts = num_field(prof, "inserts", &ctx)?;
-    profile.extracts = num_field(prof, "extracts", &ctx)?;
-    profile.gathers = num_field(prof, "gathers", &ctx)?;
-    profile.shuffles = num_field(prof, "shuffles", &ctx)?;
-    profile.splats = num_field(prof, "splats", &ctx)?;
+        profile.loads = prof.u64("loads")?;
+        profile.stores = prof.u64("stores")?;
+        profile.bytes_loaded = prof.u64("bytes_loaded")?;
+        profile.bytes_stored = prof.u64("bytes_stored")?;
+        profile.inserts = prof.u64("inserts")?;
+        profile.extracts = prof.u64("extracts")?;
+        profile.gathers = prof.u64("gathers")?;
+        profile.shuffles = prof.u64("shuffles")?;
+        profile.splats = prof.u64("splats")?;
+        Ok(profile)
+    })?;
 
+    if let Some(ns) = class_ns {
+        let Some(wall) = wall_ns else {
+            return Err(format!("{ctx}: class_ns present without wall_ns"));
+        };
+        let sum: u64 = ns.iter().sum();
+        if sum > wall {
+            return Err(format!(
+                "{ctx}: class_ns sums to {sum} ns, more than wall_ns {wall}"
+            ));
+        }
+    }
     if profile.total_ops() != dyn_insts {
         return Err(format!(
             "{ctx}: profile op classes sum to {} but dyn_insts is {dyn_insts}",
@@ -1017,39 +947,8 @@ mod tests {
     }
 
     fn one_kernel_report(name: &str) -> DynReport {
-        let kernel = kernel_by_name(name).unwrap();
-        let row = measure_kernel_modes(&kernel, kernel.default_iters, &DYN_MODES);
-        let modes = DYN_MODES
-            .iter()
-            .zip(DYN_LABELS)
-            .map(|(&mode, label)| {
-                let r = row.result(mode);
-                ModeDyn {
-                    label: label.to_string(),
-                    cycles: r.cycles,
-                    dyn_insts: r.dyn_insts,
-                    predicted_cost: r
-                        .report
-                        .as_ref()
-                        .map(|rep| rep.predicted_cost())
-                        .unwrap_or(0),
-                    vectorized_graphs: r
-                        .report
-                        .as_ref()
-                        .map(|rep| rep.vectorized_graphs() as u64)
-                        .unwrap_or(0),
-                    profile: r.profile.clone(),
-                    wall_ns: r.wall_ns,
-                    class_ns: r.class_ns,
-                }
-            })
-            .collect();
         DynReport {
-            kernels: vec![KernelDyn {
-                name: kernel.name.to_string(),
-                iters: kernel.default_iters as u64,
-                modes,
-            }],
+            kernels: vec![kernel_dyn(&kernel_by_name(name).unwrap())],
         }
     }
 
@@ -1110,7 +1009,16 @@ mod tests {
 
     #[test]
     fn gate_flags_deterministic_regressions() {
-        let base = one_kernel_report("motiv_trunk");
+        let mut base = one_kernel_report("motiv_trunk");
+        // The cycle gate is deterministic; the fresh-only wall gate on a
+        // one-kernel native measurement is not (a 1.07x margin reads
+        // <= 1.0x on a loaded host). Drop the measured axis so only the
+        // deterministic gate is under test; the wall gate is covered by
+        // `wall_axis_round_trips_and_calibrates` with injected numbers.
+        for m in &mut base.kernels[0].modes {
+            m.wall_ns = None;
+            m.class_ns = None;
+        }
         let mut fresh = base.clone();
         assert!(check_dyn(&base, &fresh).is_ok());
         fresh.kernels[0].modes[3].cycles += 1;

@@ -18,10 +18,12 @@ use snslp_core::FunctionReport;
 use snslp_cost::CostModel;
 use snslp_interp::{run_with_args, ArgSpec, ExecOptions, OpClass};
 use snslp_ir::Function;
+use snslp_jit::pcmap::check_partition;
 use snslp_jit::{HotMode, HotProfile, InstHot, JitError, LowerOptions, StubHot};
 use snslp_trace::DecisionId;
 
-use crate::json::{check_schema, Json};
+use crate::dynstats::{classes_from_json, classes_to_json};
+use crate::json::{obj, read_text, Json, View};
 use crate::{compile, DYN_MODES};
 
 /// The schema tag every hot artifact carries; bump on breaking changes.
@@ -303,41 +305,29 @@ pub fn collect_hot() -> (HotDoc, Vec<String>) {
     )
 }
 
-fn class_obj(classes: &[u64; OpClass::ALL.len()]) -> Json {
-    Json::Obj(
-        OpClass::ALL
-            .iter()
-            .map(|&c| (c.name().to_string(), Json::Num(classes[c.index()] as f64)))
-            .collect(),
-    )
-}
-
 fn inst_to_json(i: &InstHot) -> Json {
-    Json::Obj(vec![
-        ("inst".to_string(), Json::Num(f64::from(i.inst))),
-        ("block".to_string(), Json::Num(f64::from(i.block))),
-        ("class".to_string(), Json::Str(i.class.name().to_string())),
-        ("pc_start".to_string(), Json::Num(f64::from(i.pc_start))),
-        ("pc_end".to_string(), Json::Num(f64::from(i.pc_end))),
-        ("count".to_string(), Json::Num(i.count as f64)),
-        ("samples".to_string(), Json::Num(i.samples as f64)),
-        ("ns".to_string(), Json::Num(i.ns as f64)),
+    obj([
+        ("inst", i.inst.into()),
+        ("block", i.block.into()),
+        ("class", i.class.name().into()),
+        ("pc_start", i.pc_start.into()),
+        ("pc_end", i.pc_end.into()),
+        ("count", i.count.into()),
+        ("samples", i.samples.into()),
+        ("ns", i.ns.into()),
         (
-            "decision".to_string(),
-            match &i.decision {
-                Some(d) => Json::Str(d.render()),
-                None => Json::Null,
-            },
+            "decision",
+            i.decision.as_ref().map(DecisionId::render).into(),
         ),
     ])
 }
 
 fn stub_to_json(s: &StubHot) -> Json {
-    Json::Obj(vec![
-        ("name".to_string(), Json::Str(s.name.clone())),
-        ("pc_start".to_string(), Json::Num(f64::from(s.pc_start))),
-        ("pc_end".to_string(), Json::Num(f64::from(s.pc_end))),
-        ("samples".to_string(), Json::Num(s.samples as f64)),
+    obj([
+        ("name", s.name.as_str().into()),
+        ("pc_start", s.pc_start.into()),
+        ("pc_end", s.pc_end.into()),
+        ("samples", s.samples.into()),
     ])
 }
 
@@ -350,49 +340,35 @@ impl HotDoc {
             .iter()
             .map(|e| {
                 let p = &e.profile;
-                Json::Obj(vec![
-                    ("kernel".to_string(), Json::Str(e.kernel.clone())),
-                    ("label".to_string(), Json::Str(e.label.clone())),
-                    ("function".to_string(), Json::Str(p.function.clone())),
-                    ("code_bytes".to_string(), Json::Num(p.code_bytes as f64)),
-                    ("dyn_insts".to_string(), Json::Num(e.dyn_insts as f64)),
+                obj([
+                    ("kernel", e.kernel.as_str().into()),
+                    ("label", e.label.as_str().into()),
+                    ("function", p.function.as_str().into()),
+                    ("code_bytes", p.code_bytes.into()),
+                    ("dyn_insts", e.dyn_insts.into()),
+                    ("native_wall_ns", p.native_wall_ns.into()),
+                    ("sample_period_ns", p.sample_period_ns.into()),
+                    ("samples_total", p.samples_total.into()),
                     (
-                        "native_wall_ns".to_string(),
-                        Json::Num(p.native_wall_ns as f64),
+                        "block_counts",
+                        Json::Arr(p.block_counts.iter().map(|&c| c.into()).collect()),
                     ),
+                    ("class_ops", classes_to_json(&p.class_ops)),
                     (
-                        "sample_period_ns".to_string(),
-                        Json::Num(p.sample_period_ns as f64),
-                    ),
-                    (
-                        "samples_total".to_string(),
-                        Json::Num(p.samples_total as f64),
-                    ),
-                    (
-                        "block_counts".to_string(),
-                        Json::Arr(
-                            p.block_counts
-                                .iter()
-                                .map(|&c| Json::Num(c as f64))
-                                .collect(),
-                        ),
-                    ),
-                    ("class_ops".to_string(), class_obj(&p.class_ops)),
-                    (
-                        "insts".to_string(),
+                        "insts",
                         Json::Arr(p.insts.iter().map(inst_to_json).collect()),
                     ),
                     (
-                        "stubs".to_string(),
+                        "stubs",
                         Json::Arr(p.stubs.iter().map(stub_to_json).collect()),
                     ),
                 ])
             })
             .collect();
-        Json::Obj(vec![
-            ("schema".to_string(), Json::Str(HOT_SCHEMA.to_string())),
-            ("mode".to_string(), Json::Str(self.mode.name().to_string())),
-            ("entries".to_string(), Json::Arr(entries)),
+        obj([
+            ("schema", HOT_SCHEMA.into()),
+            ("mode", self.mode.name().into()),
+            ("entries", Json::Arr(entries)),
         ])
         .render()
     }
@@ -401,7 +377,7 @@ impl HotDoc {
     /// the reader re-checks every invariant it can without re-running:
     ///
     /// * instruction and stub PC ranges partition `[0, code_bytes)`
-    ///   exactly (no gap, no overlap, monotone);
+    ///   exactly ([`snslp_jit::pcmap::check_partition`]);
     /// * instrumented entries: every instruction's `count` equals its
     ///   block's counter, the per-class op sums match `class_ops`, and
     ///   the class total equals the interpreter's `dyn_insts`;
@@ -415,23 +391,15 @@ impl HotDoc {
     ///
     /// Describes the first violated invariant.
     pub fn from_json(text: &str) -> Result<HotDoc, String> {
-        let doc = Json::parse(text)?;
-        check_schema(&doc, HOT_SCHEMA)?;
-        let mode = match doc.get("mode").and_then(Json::as_str) {
-            Some("instrumented") => HotMode::Instrumented,
-            Some("sampled") => HotMode::Sampled,
-            Some(other) => return Err(format!("unknown mode {other:?}")),
-            None => return Err("missing mode".to_string()),
-        };
-        let mut entries = Vec::new();
-        for e in doc
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or("missing entries")?
-        {
-            entries.push(entry_from_json(e, mode)?);
-        }
-        Ok(HotDoc { mode, entries })
+        read_text(text, HOT_SCHEMA, |o| {
+            let mode = match o.str("mode")? {
+                "instrumented" => HotMode::Instrumented,
+                "sampled" => HotMode::Sampled,
+                other => return Err(format!("unknown mode {other:?}")),
+            };
+            let entries = o.objs("entries", |e| entry_from_json(e, mode))?;
+            Ok(HotDoc { mode, entries })
+        })
     }
 
     /// Short per-entry summary table (kernels × labels with op totals).
@@ -459,146 +427,61 @@ impl HotDoc {
     }
 }
 
-fn u64_field(obj: &Json, key: &str, ctx: &str) -> Result<u64, String> {
-    let v = obj
-        .get(key)
-        .and_then(Json::as_num)
-        .ok_or_else(|| format!("{ctx}: missing {key}"))?;
-    if !(v.is_finite() && v >= 0.0 && v.fract() == 0.0) {
-        return Err(format!("{ctx}: implausible {key} = {v}"));
-    }
-    Ok(v as u64)
-}
-
-fn class_from_name(name: &str) -> Option<OpClass> {
-    OpClass::ALL.into_iter().find(|c| c.name() == name)
-}
-
-fn entry_from_json(e: &Json, mode: HotMode) -> Result<HotEntry, String> {
-    let kernel = e
-        .get("kernel")
-        .and_then(Json::as_str)
-        .ok_or("entry missing kernel")?
-        .to_string();
-    let label = e
-        .get("label")
-        .and_then(Json::as_str)
-        .ok_or("entry missing label")?
-        .to_string();
+fn entry_from_json(e: &mut View, mode: HotMode) -> Result<HotEntry, String> {
+    let kernel = e.str("kernel")?.to_string();
+    let label = e.str("label")?.to_string();
     let ctx = format!("{kernel}/{label}");
-    let function = e
-        .get("function")
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("{ctx}: missing function"))?
-        .to_string();
-    let code_bytes = u64_field(e, "code_bytes", &ctx)?;
-    let dyn_insts = u64_field(e, "dyn_insts", &ctx)?;
-    let native_wall_ns = u64_field(e, "native_wall_ns", &ctx)?;
-    let sample_period_ns = u64_field(e, "sample_period_ns", &ctx)?;
-    let samples_total = u64_field(e, "samples_total", &ctx)?;
-    let block_counts: Vec<u64> = e
-        .get("block_counts")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{ctx}: missing block_counts"))?
-        .iter()
-        .map(|v| {
-            v.as_num()
-                .filter(|n| n.is_finite() && *n >= 0.0 && n.fract() == 0.0)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("{ctx}: bad block counter"))
-        })
-        .collect::<Result<_, _>>()?;
-    let class_obj = e
-        .get("class_ops")
-        .ok_or_else(|| format!("{ctx}: missing class_ops"))?;
-    let mut class_ops = [0u64; OpClass::ALL.len()];
-    for c in OpClass::ALL {
-        class_ops[c.index()] = u64_field(class_obj, c.name(), &ctx)?;
-    }
-
-    let mut insts = Vec::new();
-    for i in e
-        .get("insts")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{ctx}: missing insts"))?
-    {
-        let class_name = i
-            .get("class")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{ctx}: inst missing class"))?;
-        let class = class_from_name(class_name)
+    let function = e.str("function")?.to_string();
+    let code_bytes = e.u64("code_bytes")?;
+    let dyn_insts = e.u64("dyn_insts")?;
+    let native_wall_ns = e.u64("native_wall_ns")?;
+    let sample_period_ns = e.u64("sample_period_ns")?;
+    let samples_total = e.u64("samples_total")?;
+    let block_counts = e.counts("block_counts")?;
+    let class_ops = e.obj("class_ops", classes_from_json)?;
+    let insts = e.objs("insts", |i| {
+        let class_name = i.str("class")?;
+        let class = OpClass::ALL
+            .into_iter()
+            .find(|c| c.name() == class_name)
             .ok_or_else(|| format!("{ctx}: unknown opcode class {class_name:?}"))?;
-        let decision = match i.get("decision") {
-            None | Some(Json::Null) => None,
-            Some(Json::Str(s)) => Some(
-                DecisionId::parse(s).map_err(|err| format!("{ctx}: bad decision label: {err}"))?,
-            ),
-            Some(other) => return Err(format!("{ctx}: bad decision value {other:?}")),
-        };
-        insts.push(InstHot {
-            inst: u64_field(i, "inst", &ctx)? as u32,
-            block: u64_field(i, "block", &ctx)? as u32,
+        let decision = i
+            .opt_str("decision")?
+            .map(|s| {
+                DecisionId::parse(s).map_err(|err| format!("{ctx}: bad decision label: {err}"))
+            })
+            .transpose()?;
+        Ok(InstHot {
+            inst: i.u32("inst")?,
+            block: i.u32("block")?,
             class,
-            pc_start: u64_field(i, "pc_start", &ctx)? as u32,
-            pc_end: u64_field(i, "pc_end", &ctx)? as u32,
-            count: u64_field(i, "count", &ctx)?,
-            samples: u64_field(i, "samples", &ctx)?,
-            ns: u64_field(i, "ns", &ctx)?,
+            pc_start: i.u32("pc_start")?,
+            pc_end: i.u32("pc_end")?,
+            count: i.u64("count")?,
+            samples: i.u64("samples")?,
+            ns: i.u64("ns")?,
             decision,
-        });
-    }
-    let mut stubs = Vec::new();
-    for s in e
-        .get("stubs")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| format!("{ctx}: missing stubs"))?
-    {
-        stubs.push(StubHot {
-            name: s
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("{ctx}: stub missing name"))?
-                .to_string(),
-            pc_start: u64_field(s, "pc_start", &ctx)? as u32,
-            pc_end: u64_field(s, "pc_end", &ctx)? as u32,
-            samples: u64_field(s, "samples", &ctx)?,
-        });
-    }
+        })
+    })?;
+    let stubs = e.objs("stubs", |s| {
+        Ok(StubHot {
+            name: s.str("name")?.to_string(),
+            pc_start: s.u32("pc_start")?,
+            pc_end: s.u32("pc_end")?,
+            samples: s.u64("samples")?,
+        })
+    })?;
 
     // --- Cross-invariants -------------------------------------------
     // Partition: the union of inst and stub ranges covers
     // [0, code_bytes) exactly once.
-    let mut ranges: Vec<(u32, u32, &str)> = insts
+    let mut ranges: Vec<(u32, u32)> = insts
         .iter()
-        .map(|i| (i.pc_start, i.pc_end, "inst"))
-        .chain(stubs.iter().map(|s| (s.pc_start, s.pc_end, "stub")))
+        .map(|i| (i.pc_start, i.pc_end))
+        .chain(stubs.iter().map(|s| (s.pc_start, s.pc_end)))
         .collect();
-    ranges.sort_by_key(|&(start, ..)| start);
-    let mut expect = 0u32;
-    for (start, end, what) in &ranges {
-        if *end <= *start {
-            return Err(format!("{ctx}: empty or inverted {what} range"));
-        }
-        match start.cmp(&expect) {
-            std::cmp::Ordering::Less => {
-                return Err(format!(
-                    "{ctx}: {what} range at {start:#x} overlaps the previous one"
-                ));
-            }
-            std::cmp::Ordering::Greater => {
-                return Err(format!(
-                    "{ctx}: gap before {what} range at {start:#x} (previous ended at {expect:#x})"
-                ));
-            }
-            std::cmp::Ordering::Equal => {}
-        }
-        expect = *end;
-    }
-    if u64::from(expect) != code_bytes {
-        return Err(format!(
-            "{ctx}: ranges cover {expect} bytes but code_bytes is {code_bytes}"
-        ));
-    }
+    ranges.sort_unstable();
+    check_partition(ranges, code_bytes).map_err(|err| format!("{ctx}: {err}"))?;
 
     match mode {
         HotMode::Instrumented => {

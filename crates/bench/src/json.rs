@@ -1,9 +1,16 @@
 //! The one JSON emitter/parser behind every bench artifact
-//! (`BENCH_compile_time.json`, stats, dynstats, `snslp-report/v1`): a tiny
-//! value type so the workspace stays free of external crates.
+//! (`BENCH_compile_time.json`, stats, dynstats, hot, serve-bench,
+//! `snslp-report/v1`, the `snslpd` telemetry snapshot): a tiny value type
+//! so the workspace stays free of external crates, plus the strict reader
+//! every schema is read through.
 //!
-//! All strict readers go through [`check_schema`] so a wrong or missing
-//! schema tag fails with the same message everywhere.
+//! A reader hands [`read_text`] (or [`read_doc`]) a closure over a
+//! [`View`] of the top-level object. The view's typed getters mark each
+//! member they read; when the closure returns, any member no getter read
+//! is an error. So a reader's own getter calls declare its exact member
+//! set, every count goes through [`as_count`], and every error starts
+//! with the path of the member it is about (`kernels[3].modes.o3.cycles:
+//! ...`). Writers build documents with [`obj`] and the `From` impls.
 
 use std::fmt::Write as _;
 
@@ -191,8 +198,9 @@ impl Json {
 }
 
 /// Validates a parsed document's `schema` tag against the expected
-/// version. Every strict reader calls this, so a stale or foreign file
-/// fails with the same phrasing regardless of which artifact it was.
+/// version. Every strict reader calls this (through [`read_doc`]), so a
+/// stale or foreign file fails with the same phrasing regardless of which
+/// artifact it was.
 pub fn check_schema(doc: &Json, expected: &str) -> Result<(), String> {
     match doc.get("schema").and_then(Json::as_str) {
         None => Err(format!("missing schema tag (expected `{expected}`)")),
@@ -207,6 +215,350 @@ pub fn check_schema(doc: &Json, expected: &str) -> Result<(), String> {
 /// rate in the bench artifacts.
 pub fn round3(v: f64) -> f64 {
     (v * 1000.0).round() / 1000.0
+}
+
+/// The largest integer an `f64` carries exactly, and so the largest count
+/// a reader accepts; a writer storing a larger integer (a seed, say)
+/// would produce a file its own reader rejects.
+pub const MAX_COUNT: u64 = 1 << 53;
+
+const MAX_EXACT: f64 = MAX_COUNT as f64;
+
+/// The one integer rule every count in every artifact obeys: a number
+/// that is finite, non-negative, integral and at most 2^53.
+pub fn as_count(v: &Json) -> Option<u64> {
+    let n = v.as_num()?;
+    (n >= 0.0 && n.fract() == 0.0 && n <= MAX_EXACT).then_some(n as u64)
+}
+
+/// A signed integer under the same rule: integral, magnitude at most 2^53.
+fn as_int(v: &Json) -> Option<i64> {
+    let n = v.as_num()?;
+    (n.fract() == 0.0 && n.abs() <= MAX_EXACT).then_some(n as i64)
+}
+
+const COUNT: &str = "a count (integral, 0 to 2^53)";
+
+/// Builds an object from `(key, value)` members, in order.
+pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+    Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Num(v as f64)
+    }
+}
+
+impl From<u32> for Json {
+    fn from(v: u32) -> Json {
+        Json::Num(f64::from(v))
+    }
+}
+
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Num(v as f64)
+    }
+}
+
+impl From<i64> for Json {
+    fn from(v: i64) -> Json {
+        Json::Num(v as f64)
+    }
+}
+
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Num(v)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(v: String) -> Json {
+        Json::Str(v)
+    }
+}
+
+/// `None` is written as `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+/// Parses `text` and reads it through [`read_doc`].
+///
+/// # Errors
+///
+/// A parse error, or whatever [`read_doc`] rejects.
+pub fn read_text<T>(
+    text: &str,
+    schema: &str,
+    read: impl FnOnce(&mut View<'_>) -> Result<T, String>,
+) -> Result<T, String> {
+    read_doc(&Json::parse(text)?, schema, read)
+}
+
+/// Reads a `schema` document strictly: checks the tag, hands the
+/// top-level object to `read`, and rejects any member `read` left unread.
+///
+/// # Errors
+///
+/// A wrong or missing schema tag, any error `read` returns, or an
+/// unknown member.
+pub fn read_doc<'a, T>(
+    doc: &'a Json,
+    schema: &str,
+    read: impl FnOnce(&mut View<'a>) -> Result<T, String>,
+) -> Result<T, String> {
+    check_schema(doc, schema)?;
+    View::read(doc, String::new(), |o| {
+        o.take("schema");
+        read(o)
+    })
+}
+
+/// A strict view of one JSON object. Every getter marks the member it
+/// reads; the view is finished when the closure that received it
+/// returns, and any member no getter read fails the read. Errors start
+/// with the member's path from the document root.
+#[derive(Debug)]
+pub struct View<'a> {
+    path: String,
+    members: &'a [(String, Json)],
+    read: Vec<bool>,
+}
+
+impl<'a> View<'a> {
+    /// Reads the object `json` strictly through `read`; `path` prefixes
+    /// its errors (empty for a document root).
+    ///
+    /// # Errors
+    ///
+    /// `json` is not an object, `read` fails, or a member is left unread.
+    pub fn read<T>(
+        json: &'a Json,
+        path: String,
+        read: impl FnOnce(&mut View<'a>) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let Json::Obj(members) = json else {
+            return Err(format!("{}: expected an object", shown(&path)));
+        };
+        let mut view = View {
+            path,
+            members,
+            read: vec![false; members.len()],
+        };
+        let value = read(&mut view)?;
+        view.finish()?;
+        Ok(value)
+    }
+
+    /// Rejects the first member no getter read.
+    fn finish(self) -> Result<(), String> {
+        let Some(i) = self.read.iter().position(|&r| !r) else {
+            return Ok(());
+        };
+        let key = &self.members[i].0;
+        let what = if self.members[..i].iter().any(|(k, _)| k == key) {
+            "duplicate"
+        } else {
+            "unknown"
+        };
+        Err(format!("{}: {what} member `{key}`", shown(&self.path)))
+    }
+
+    /// The path of this object from the document root (empty at the
+    /// root), for cross-invariant messages.
+    pub fn path(&self) -> &str {
+        &self.path
+    }
+
+    fn at(&self, key: &str) -> String {
+        if self.path.is_empty() {
+            key.to_string()
+        } else {
+            format!("{}.{key}", self.path)
+        }
+    }
+
+    fn take(&mut self, key: &str) -> Option<&'a Json> {
+        let i = self.members.iter().position(|(k, _)| k == key)?;
+        self.read[i] = true;
+        Some(&self.members[i].1)
+    }
+
+    fn need(&mut self, key: &str) -> Result<&'a Json, String> {
+        self.take(key)
+            .ok_or_else(|| format!("{}: missing member `{key}`", shown(&self.path)))
+    }
+
+    fn typed<T>(
+        &mut self,
+        key: &str,
+        what: &str,
+        conv: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self.need(key)?;
+        conv(v).ok_or_else(|| mistyped(&self.at(key), what, v))
+    }
+
+    /// Absent and `null` both read as `None`.
+    fn opt_typed<T>(
+        &mut self,
+        key: &str,
+        what: &str,
+        conv: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.take(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => conv(v)
+                .map(Some)
+                .ok_or_else(|| mistyped(&self.at(key), what, v)),
+        }
+    }
+
+    /// A count member (see [`as_count`]).
+    pub fn u64(&mut self, key: &str) -> Result<u64, String> {
+        self.typed(key, COUNT, as_count)
+    }
+
+    /// A count member that must also fit in 32 bits.
+    pub fn u32(&mut self, key: &str) -> Result<u32, String> {
+        self.typed(key, "a 32-bit count", |v| {
+            as_count(v).and_then(|n| u32::try_from(n).ok())
+        })
+    }
+
+    /// A count member read into a `usize` field.
+    pub fn usize(&mut self, key: &str) -> Result<usize, String> {
+        self.typed(key, COUNT, |v| {
+            as_count(v).and_then(|n| usize::try_from(n).ok())
+        })
+    }
+
+    /// A signed integer member (integral, magnitude at most 2^53).
+    pub fn i64(&mut self, key: &str) -> Result<i64, String> {
+        self.typed(key, "an integer", as_int)
+    }
+
+    /// A finite number.
+    pub fn f64(&mut self, key: &str) -> Result<f64, String> {
+        self.typed(key, "a finite number", finite)
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &str) -> Result<&'a str, String> {
+        self.typed(key, "a string", Json::as_str)
+    }
+
+    /// An array member, elements unchecked.
+    pub fn arr(&mut self, key: &str) -> Result<&'a [Json], String> {
+        self.typed(key, "an array", Json::as_arr)
+    }
+
+    /// An array of counts.
+    pub fn counts(&mut self, key: &str) -> Result<Vec<u64>, String> {
+        let at = self.at(key);
+        self.arr(key)?
+            .iter()
+            .enumerate()
+            .map(|(i, v)| as_count(v).ok_or_else(|| mistyped(&format!("{at}[{i}]"), COUNT, v)))
+            .collect()
+    }
+
+    /// An object member, read strictly through `read`.
+    pub fn obj<T>(
+        &mut self,
+        key: &str,
+        read: impl FnOnce(&mut View<'a>) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let v = self.need(key)?;
+        View::read(v, self.at(key), read)
+    }
+
+    /// An array of objects, each read strictly through `read`.
+    pub fn objs<T>(
+        &mut self,
+        key: &str,
+        mut read: impl FnMut(&mut View<'a>) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let at = self.at(key);
+        self.arr(key)?
+            .iter()
+            .enumerate()
+            .map(|(i, item)| View::read(item, format!("{at}[{i}]"), &mut read))
+            .collect()
+    }
+
+    /// Every member of this object, in order, each read by
+    /// `read(view, key)` — for objects keyed by data (counter names,
+    /// pipeline labels) rather than by the schema.
+    pub fn each<T>(
+        &mut self,
+        mut read: impl FnMut(&mut View<'a>, &'a str) -> Result<T, String>,
+    ) -> Result<Vec<(String, T)>, String> {
+        let members = self.members;
+        members
+            .iter()
+            .map(|(k, _)| Ok((k.clone(), read(self, k)?)))
+            .collect()
+    }
+
+    /// An optional count: absent or `null` is `None`.
+    pub fn opt_u64(&mut self, key: &str) -> Result<Option<u64>, String> {
+        self.opt_typed(key, COUNT, as_count)
+    }
+
+    /// An optional signed integer.
+    pub fn opt_i64(&mut self, key: &str) -> Result<Option<i64>, String> {
+        self.opt_typed(key, "an integer", as_int)
+    }
+
+    /// An optional finite number.
+    pub fn opt_f64(&mut self, key: &str) -> Result<Option<f64>, String> {
+        self.opt_typed(key, "a finite number", finite)
+    }
+
+    /// An optional string.
+    pub fn opt_str(&mut self, key: &str) -> Result<Option<&'a str>, String> {
+        self.opt_typed(key, "a string", Json::as_str)
+    }
+
+    /// An optional object, read strictly through `read` when present.
+    pub fn opt_obj<T>(
+        &mut self,
+        key: &str,
+        read: impl FnOnce(&mut View<'a>) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self.take(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => View::read(v, self.at(key), read).map(Some),
+        }
+    }
+}
+
+fn finite(v: &Json) -> Option<f64> {
+    v.as_num().filter(|n| n.is_finite())
+}
+
+fn shown(path: &str) -> &str {
+    if path.is_empty() {
+        "document"
+    } else {
+        path
+    }
+}
+
+fn mistyped(at: &str, what: &str, v: &Json) -> String {
+    format!("{at}: expected {what}, found {}", v.render_compact())
 }
 
 fn pad(out: &mut String, indent: usize) {

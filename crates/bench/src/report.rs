@@ -1,15 +1,13 @@
 //! Machine-readable bench reports: the schema for the compile-time
 //! benchmark trajectory file `BENCH_compile_time.json` checked in at the
-//! repository root. The JSON value type lives in [`crate::json`] and is
-//! re-exported here for compatibility.
+//! repository root.
 //!
 //! The checked-in file is the baseline the CI `bench-smoke` job compares
 //! fresh measurements against (see `src/bin/bench_check.rs`): a kernel
 //! whose fresh SN-SLP mean exceeds `REGRESSION_FACTOR` times the
 //! baseline mean fails the job.
 
-pub use crate::json::Json;
-use crate::json::{check_schema, round3};
+use crate::json::{obj, read_text, round3, Json};
 
 /// The schema tag every compile-time report carries; bump on breaking
 /// format changes.
@@ -75,121 +73,71 @@ impl CompileTimeReport {
             .kernels
             .iter()
             .map(|k| {
-                let modes = k
-                    .modes
-                    .iter()
-                    .map(|(label, t)| {
-                        (
-                            label.clone(),
-                            Json::Obj(vec![
-                                ("mean_us".to_string(), Json::Num(round3(t.mean_us))),
-                                ("sd_us".to_string(), Json::Num(round3(t.sd_us))),
-                                ("min_us".to_string(), Json::Num(round3(t.min_us))),
-                            ]),
-                        )
-                    })
-                    .collect();
-                let mut row = vec![
-                    ("name".to_string(), Json::Str(k.name.clone())),
-                    ("modes".to_string(), Json::Obj(modes)),
-                ];
-                row.push((
-                    "cache_hit_rate".to_string(),
-                    match k.cache_hit_rate {
-                        Some(r) => Json::Num(round3(r)),
-                        None => Json::Null,
-                    },
-                ));
-                Json::Obj(row)
+                let modes = k.modes.iter().map(|(label, t)| {
+                    let timing = obj([
+                        ("mean_us", round3(t.mean_us).into()),
+                        ("sd_us", round3(t.sd_us).into()),
+                        ("min_us", round3(t.min_us).into()),
+                    ]);
+                    (label.as_str(), timing)
+                });
+                obj([
+                    ("name", k.name.as_str().into()),
+                    ("modes", obj(modes)),
+                    ("cache_hit_rate", k.cache_hit_rate.map(round3).into()),
+                ])
             })
             .collect();
-        Json::Obj(vec![
-            (
-                "schema".to_string(),
-                Json::Str(COMPILE_TIME_SCHEMA.to_string()),
-            ),
-            ("timed_runs".to_string(), Json::Num(self.timed_runs as f64)),
-            ("kernels".to_string(), Json::Arr(kernels)),
+        obj([
+            ("schema", COMPILE_TIME_SCHEMA.into()),
+            ("timed_runs", self.timed_runs.into()),
+            ("kernels", Json::Arr(kernels)),
         ])
         .render()
     }
 
     /// Parses and validates a report document.
     pub fn from_json(text: &str) -> Result<CompileTimeReport, String> {
-        let doc = Json::parse(text)?;
-        check_schema(&doc, COMPILE_TIME_SCHEMA)?;
-        let timed_runs = doc
-            .get("timed_runs")
-            .and_then(Json::as_num)
-            .ok_or("missing timed_runs")? as usize;
-        let mut kernels = Vec::new();
-        for row in doc
-            .get("kernels")
-            .and_then(Json::as_arr)
-            .ok_or("missing kernels")?
-        {
-            let name = row
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("kernel row missing name")?
-                .to_string();
-            let Some(Json::Obj(mode_members)) = row.get("modes") else {
-                return Err(format!("kernel {name}: missing modes object"));
-            };
-            let mut modes = Vec::new();
-            for (label, t) in mode_members {
-                let mean_us = t
-                    .get("mean_us")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("kernel {name}/{label}: missing mean_us"))?;
-                let sd_us = t
-                    .get("sd_us")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("kernel {name}/{label}: missing sd_us"))?;
-                let min_us = t
-                    .get("min_us")
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("kernel {name}/{label}: missing min_us"))?;
-                if !(mean_us.is_finite() && mean_us > 0.0 && sd_us.is_finite() && sd_us >= 0.0) {
+        let report = read_text(text, COMPILE_TIME_SCHEMA, |o| {
+            Ok(CompileTimeReport {
+                timed_runs: o.usize("timed_runs")?,
+                kernels: o.objs("kernels", |row| {
+                    Ok(KernelTiming {
+                        name: row.str("name")?.to_string(),
+                        modes: row.obj("modes", |m| {
+                            m.each(|m, label| {
+                                m.obj(label, |t| {
+                                    Ok(Timing {
+                                        mean_us: t.f64("mean_us")?,
+                                        sd_us: t.f64("sd_us")?,
+                                        min_us: t.f64("min_us")?,
+                                    })
+                                })
+                            })
+                        })?,
+                        cache_hit_rate: row.opt_f64("cache_hit_rate")?,
+                    })
+                })?,
+            })
+        })?;
+        for k in &report.kernels {
+            let name = &k.name;
+            for (label, t) in &k.modes {
+                if !(t.mean_us > 0.0 && t.sd_us >= 0.0) {
                     return Err(format!("kernel {name}/{label}: implausible timing"));
                 }
-                if !(min_us.is_finite() && min_us > 0.0 && min_us <= mean_us + 1e-9) {
+                if !(t.min_us > 0.0 && t.min_us <= t.mean_us + 1e-9) {
                     return Err(format!("kernel {name}/{label}: implausible min_us"));
                 }
-                modes.push((
-                    label.clone(),
-                    Timing {
-                        mean_us,
-                        sd_us,
-                        min_us,
-                    },
-                ));
             }
-            let cache_hit_rate = match row.get("cache_hit_rate") {
-                Some(Json::Null) | None => None,
-                Some(v) => {
-                    let r = v
-                        .as_num()
-                        .ok_or_else(|| format!("kernel {name}: bad cache_hit_rate"))?;
-                    if !(0.0..=1.0).contains(&r) {
-                        return Err(format!("kernel {name}: cache_hit_rate {r} out of range"));
-                    }
-                    Some(r)
-                }
-            };
-            kernels.push(KernelTiming {
-                name,
-                modes,
-                cache_hit_rate,
-            });
+            if let Some(r) = k.cache_hit_rate.filter(|r| !(0.0..=1.0).contains(r)) {
+                return Err(format!("kernel {name}: cache_hit_rate {r} out of range"));
+            }
         }
-        if kernels.is_empty() {
+        if report.kernels.is_empty() {
             return Err("report has no kernels".to_string());
         }
-        Ok(CompileTimeReport {
-            timed_runs,
-            kernels,
-        })
+        Ok(report)
     }
 }
 

@@ -21,7 +21,7 @@ use snslp_core::{run_slp, SlpConfig, SlpMode};
 use snslp_ir::Module;
 use snslp_trace::{Counter, Stage};
 
-use crate::json::{check_schema, round3, Json};
+use crate::json::{obj, read_text, round3, Json, View};
 
 /// Schema identifier embedded in every stats file.
 pub const STATS_SCHEMA: &str = "snslp-stats/v1";
@@ -82,80 +82,33 @@ impl FunctionStats {
     }
 
     fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("unit".to_string(), Json::Str(self.unit.clone())),
-            ("function".to_string(), Json::Str(self.function.clone())),
-            ("graphs".to_string(), Json::Num(self.graphs as f64)),
-            ("vectorized".to_string(), Json::Num(self.vectorized as f64)),
+        let counts = |m: &[(String, u64)]| obj(m.iter().map(|(k, v)| (k.as_str(), (*v).into())));
+        obj([
+            ("unit", self.unit.as_str().into()),
+            ("function", self.function.as_str().into()),
+            ("graphs", self.graphs.into()),
+            ("vectorized", self.vectorized.into()),
+            ("counters", counts(&self.counters)),
             (
-                "counters".to_string(),
-                Json::Obj(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                        .collect(),
-                ),
+                "stage_us",
+                obj(self
+                    .stage_us
+                    .iter()
+                    .map(|(k, v)| (k.as_str(), round3(*v).into()))),
             ),
-            (
-                "stage_us".to_string(),
-                Json::Obj(
-                    self.stage_us
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(round3(*v))))
-                        .collect(),
-                ),
-            ),
-            (
-                "reasons".to_string(),
-                Json::Obj(
-                    self.reasons
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                        .collect(),
-                ),
-            ),
+            ("reasons", counts(&self.reasons)),
         ])
     }
 
-    fn from_json(json: &Json) -> Result<FunctionStats, String> {
-        let str_field = |key: &str| -> Result<String, String> {
-            json.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("function entry missing string `{key}`"))
-        };
-        let num_field = |key: &str| -> Result<f64, String> {
-            json.get(key)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("function entry missing number `{key}`"))
-        };
-        let num_map = |key: &str| -> Result<Vec<(String, f64)>, String> {
-            match json.get(key) {
-                Some(Json::Obj(members)) => members
-                    .iter()
-                    .map(|(k, v)| {
-                        v.as_num()
-                            .map(|n| (k.clone(), n))
-                            .ok_or_else(|| format!("`{key}.{k}` is not a number"))
-                    })
-                    .collect(),
-                _ => Err(format!("function entry missing object `{key}`")),
-            }
-        };
+    fn from_json(o: &mut View) -> Result<FunctionStats, String> {
         Ok(FunctionStats {
-            unit: str_field("unit")?,
-            function: str_field("function")?,
-            graphs: num_field("graphs")? as u64,
-            vectorized: num_field("vectorized")? as u64,
-            counters: num_map("counters")?
-                .into_iter()
-                .map(|(k, v)| (k, v as u64))
-                .collect(),
-            stage_us: num_map("stage_us")?,
-            reasons: num_map("reasons")?
-                .into_iter()
-                .map(|(k, v)| (k, v as u64))
-                .collect(),
+            unit: o.str("unit")?.to_string(),
+            function: o.str("function")?.to_string(),
+            graphs: o.u64("graphs")?,
+            vectorized: o.u64("vectorized")?,
+            counters: o.obj("counters", |m| m.each(View::u64))?,
+            stage_us: o.obj("stage_us", |m| m.each(View::f64))?,
+            reasons: o.obj("reasons", |m| m.each(View::u64))?,
         })
     }
 }
@@ -186,11 +139,11 @@ impl StatsReport {
 
     /// Serializes to the `snslp-stats/v1` JSON document.
     pub fn to_json(&self) -> String {
-        Json::Obj(vec![
-            ("schema".to_string(), Json::Str(STATS_SCHEMA.to_string())),
-            ("mode".to_string(), Json::Str(self.mode.clone())),
+        obj([
+            ("schema", STATS_SCHEMA.into()),
+            ("mode", self.mode.as_str().into()),
             (
-                "functions".to_string(),
+                "functions",
                 Json::Arr(self.functions.iter().map(FunctionStats::to_json).collect()),
             ),
         ])
@@ -199,21 +152,12 @@ impl StatsReport {
 
     /// Parses a `snslp-stats/v1` document.
     pub fn from_json(text: &str) -> Result<StatsReport, String> {
-        let json = Json::parse(text)?;
-        check_schema(&json, STATS_SCHEMA)?;
-        let mode = json
-            .get("mode")
-            .and_then(Json::as_str)
-            .ok_or("missing `mode` field")?
-            .to_string();
-        let functions = json
-            .get("functions")
-            .and_then(Json::as_arr)
-            .ok_or("missing `functions` array")?
-            .iter()
-            .map(FunctionStats::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(StatsReport { mode, functions })
+        read_text(text, STATS_SCHEMA, |o| {
+            Ok(StatsReport {
+                mode: o.str("mode")?.to_string(),
+                functions: o.objs("functions", FunctionStats::from_json)?,
+            })
+        })
     }
 
     /// Human summary: totals across the corpus, one line per counter.

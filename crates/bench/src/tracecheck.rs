@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::report::Json;
+use crate::json::Json;
 
 /// What [`validate_chrome_trace`] learned about a well-formed trace.
 #[derive(Debug, Clone, Default, PartialEq)]

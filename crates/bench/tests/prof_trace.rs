@@ -5,6 +5,8 @@
 //!
 //! The Prof facet, track store and thread buffers are process-global, so
 //! the profiling tests serialize on one lock and restore the facet mask.
+//! The stats tests take the same lock, so no other corpus run competes
+//! for the host while they time the pipeline stages.
 
 use std::sync::Mutex;
 
@@ -89,6 +91,7 @@ fn parallel_profile_has_one_track_per_worker() {
 
 #[test]
 fn corpus_stats_round_trip_and_self_diff_is_clean() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let base = collect_kernel_stats(SlpMode::SnSlp);
     assert!(!base.functions.is_empty());
 
@@ -110,6 +113,7 @@ fn corpus_stats_round_trip_and_self_diff_is_clean() {
 
 #[test]
 fn injected_regression_is_surfaced_and_ranked_first() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let base = collect_kernel_stats(SlpMode::SnSlp);
     let mut broken = base.clone();
 

@@ -79,52 +79,17 @@ impl PcMap {
         }
     }
 
-    /// Checks the partition contract against the final code length:
-    /// ranges start at 0, are monotonically increasing, chain without
-    /// gap or overlap, and end exactly at `code_len`.
+    /// Checks the partition contract against the final code length (see
+    /// [`check_partition`]).
     ///
     /// # Errors
     ///
     /// Describes the first violated invariant.
     pub fn validate(&self, code_len: usize) -> Result<(), String> {
-        if code_len == 0 {
-            return if self.ranges.is_empty() {
-                Ok(())
-            } else {
-                Err(format!("{} ranges map zero code bytes", self.ranges.len()))
-            };
-        }
-        let mut expect = 0u32;
-        for (i, r) in self.ranges.iter().enumerate() {
-            if r.end <= r.start {
-                return Err(format!(
-                    "range {i} is empty or inverted: [{:#x}, {:#x})",
-                    r.start, r.end
-                ));
-            }
-            match r.start.cmp(&expect) {
-                std::cmp::Ordering::Less => {
-                    return Err(format!(
-                        "range {i} [{:#x}, {:#x}) overlaps the previous range ending at {expect:#x}",
-                        r.start, r.end
-                    ));
-                }
-                std::cmp::Ordering::Greater => {
-                    return Err(format!(
-                        "gap before range {i}: previous ended at {expect:#x}, next starts at {:#x}",
-                        r.start
-                    ));
-                }
-                std::cmp::Ordering::Equal => {}
-            }
-            expect = r.end;
-        }
-        if expect as usize != code_len {
-            return Err(format!(
-                "map covers [0, {expect:#x}) but the function has {code_len:#x} code bytes"
-            ));
-        }
-        Ok(())
+        check_partition(
+            self.ranges.iter().map(|r| (r.start, r.end)),
+            code_len as u64,
+        )
     }
 
     /// Resolves one byte offset to its range (binary search; the map is
@@ -150,6 +115,48 @@ impl PcMap {
         }
         m
     }
+}
+
+/// The partition rule every PC→IR map obeys, here and in the `snslp-hot`
+/// artifact reader: the `[start, end)` ranges, in ascending order, are
+/// non-empty, start at 0, chain without gap or overlap, and end exactly
+/// at `code_len`.
+///
+/// # Errors
+///
+/// Describes the first violated invariant.
+pub fn check_partition(
+    ranges: impl IntoIterator<Item = (u32, u32)>,
+    code_len: u64,
+) -> Result<(), String> {
+    let mut expect = 0u32;
+    for (i, (start, end)) in ranges.into_iter().enumerate() {
+        if end <= start {
+            return Err(format!(
+                "range {i} is empty or inverted: [{start:#x}, {end:#x})"
+            ));
+        }
+        match start.cmp(&expect) {
+            std::cmp::Ordering::Less => {
+                return Err(format!(
+                    "range {i} [{start:#x}, {end:#x}) overlaps the previous range ending at {expect:#x}"
+                ));
+            }
+            std::cmp::Ordering::Greater => {
+                return Err(format!(
+                    "gap before range {i}: previous ended at {expect:#x}, next starts at {start:#x}"
+                ));
+            }
+            std::cmp::Ordering::Equal => {}
+        }
+        expect = end;
+    }
+    if u64::from(expect) != code_len {
+        return Err(format!(
+            "map covers [0, {expect:#x}) but the function has {code_len:#x} code bytes"
+        ));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -20,6 +20,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use snslp_bench::json::MAX_COUNT;
 use snslp_bench::servebench::{check_serve, ServeBenchReport};
 use snslp_serve::{run_loadgen, LoadgenOptions, ServeConfig, Server};
 
@@ -67,7 +68,14 @@ fn serve_main(args: &[String]) -> ExitCode {
             "--clients" => opts.clients = parse_num("--clients", it.next()),
             "--requests" => opts.requests_per_client = parse_num("--requests", it.next()),
             "--functions" => opts.functions_per_module = parse_num("--functions", it.next()),
-            "--seed" => opts.seed = parse_num("--seed", it.next()),
+            "--seed" => {
+                opts.seed = parse_num("--seed", it.next());
+                // The report carries the seed as a JSON number.
+                if opts.seed > MAX_COUNT {
+                    eprintln!("snslp-bench: --seed must be at most 2^53 ({MAX_COUNT})");
+                    usage();
+                }
+            }
             "--mode" => opts.mode = it.next().unwrap_or_else(|| usage()),
             "--target-isa" => opts.target = it.next().unwrap_or_else(|| usage()),
             "--out" => out = Some(it.next().unwrap_or_else(|| usage())),

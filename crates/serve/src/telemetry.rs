@@ -15,7 +15,7 @@
 //!
 //! Because every interval lands in exactly one stage, the stage sums of a
 //! request equal its span duration *by construction* — the fuzz oracle in
-//! `crates/serve/tests/telemetry.rs` holds the implementation to that.
+//! `crates/serve/tests/access_log.rs` holds the implementation to that.
 //!
 //! # Recording policy
 //!
@@ -33,7 +33,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use snslp_bench::json::{check_schema, Json};
+use snslp_bench::json::{as_count, obj, read_doc, Json, View};
 use snslp_core::CacheStats;
 use snslp_trace::hist::{bucket_lo, bucket_width, NUM_BUCKETS};
 use snslp_trace::serve::EVENT_ACCESS;
@@ -547,61 +547,56 @@ impl TelemetrySnapshot {
 
     /// The snapshot as a JSON value (deterministic member order).
     pub fn to_json(&self) -> Json {
-        let num = |v: u64| Json::Num(v as f64);
         let c = &self.counters;
         let g = &self.gauges;
-        Json::Obj(vec![
+        let cache = &self.cache;
+        obj([
+            ("schema", TELEMETRY_SCHEMA.into()),
             (
-                "schema".to_string(),
-                Json::Str(TELEMETRY_SCHEMA.to_string()),
-            ),
-            (
-                "counters".to_string(),
-                Json::Obj(vec![
-                    ("requests_served".to_string(), num(c.requests_served)),
-                    ("memo_hits".to_string(), num(c.memo_hits)),
-                    ("busy_replies".to_string(), num(c.busy_replies)),
-                    ("error_replies".to_string(), num(c.error_replies)),
-                    ("stats_requests".to_string(), num(c.stats_requests)),
-                    ("invalid_requests".to_string(), num(c.invalid_requests)),
-                    ("bytes_in".to_string(), num(c.bytes_in)),
-                    ("bytes_out".to_string(), num(c.bytes_out)),
-                    ("hot_requests".to_string(), num(c.hot_requests)),
-                    ("native_runs".to_string(), num(c.native_runs)),
-                    ("native_ops".to_string(), num(c.native_ops)),
+                "counters",
+                obj([
+                    ("requests_served", c.requests_served.into()),
+                    ("memo_hits", c.memo_hits.into()),
+                    ("busy_replies", c.busy_replies.into()),
+                    ("error_replies", c.error_replies.into()),
+                    ("stats_requests", c.stats_requests.into()),
+                    ("invalid_requests", c.invalid_requests.into()),
+                    ("bytes_in", c.bytes_in.into()),
+                    ("bytes_out", c.bytes_out.into()),
+                    ("hot_requests", c.hot_requests.into()),
+                    ("native_runs", c.native_runs.into()),
+                    ("native_ops", c.native_ops.into()),
                 ]),
             ),
             (
-                "cache".to_string(),
-                Json::Obj(vec![
-                    ("hits".to_string(), num(self.cache.hits)),
-                    ("misses".to_string(), num(self.cache.misses)),
-                    ("evictions".to_string(), num(self.cache.evictions)),
-                    ("entries".to_string(), num(self.cache.entries)),
+                "cache",
+                obj([
+                    ("hits", cache.hits.into()),
+                    ("misses", cache.misses.into()),
+                    ("evictions", cache.evictions.into()),
+                    ("entries", cache.entries.into()),
                 ]),
             ),
             (
-                "gauges".to_string(),
-                Json::Obj(vec![
-                    ("inflight".to_string(), num(g.inflight)),
-                    ("busy_workers".to_string(), num(g.busy_workers)),
+                "gauges",
+                obj([
+                    ("inflight", g.inflight.into()),
+                    ("busy_workers", g.busy_workers.into()),
                     (
-                        "queue_depths".to_string(),
-                        Json::Arr(g.queue_depths.iter().map(|&d| num(d)).collect()),
+                        "queue_depths",
+                        Json::Arr(g.queue_depths.iter().map(|&d| d.into()).collect()),
                     ),
-                    ("peak_inflight".to_string(), num(g.peak_inflight)),
-                    ("peak_busy_workers".to_string(), num(g.peak_busy_workers)),
-                    ("peak_queue_depth".to_string(), num(g.peak_queue_depth)),
+                    ("peak_inflight", g.peak_inflight.into()),
+                    ("peak_busy_workers", g.peak_busy_workers.into()),
+                    ("peak_queue_depth", g.peak_queue_depth.into()),
                 ]),
             ),
             (
-                "histograms".to_string(),
-                Json::Obj(
-                    self.hists
-                        .iter()
-                        .map(|(name, h)| (name.clone(), hist_to_json(h)))
-                        .collect(),
-                ),
+                "histograms",
+                obj(self
+                    .hists
+                    .iter()
+                    .map(|(name, h)| (name.as_str(), hist_to_json(h)))),
             ),
         ])
     }
@@ -619,109 +614,56 @@ impl TelemetrySnapshot {
     /// `requests_served`, and the stage sums must add up to the
     /// request-total sum.
     pub fn from_json(doc: &Json) -> Result<TelemetrySnapshot, String> {
-        check_schema(doc, TELEMETRY_SCHEMA)?;
-        let top = members_of(doc, "snapshot")?;
-        expect_keys(
-            top,
-            &["schema", "counters", "cache", "gauges", "histograms"],
-            "snapshot",
-        )?;
-
-        let counters = doc.get("counters").expect("checked");
-        let cm = members_of(counters, "counters")?;
-        expect_keys(
-            cm,
-            &[
-                "requests_served",
-                "memo_hits",
-                "busy_replies",
-                "error_replies",
-                "stats_requests",
-                "invalid_requests",
-                "bytes_in",
-                "bytes_out",
-                "hot_requests",
-                "native_runs",
-                "native_ops",
-            ],
-            "counters",
-        )?;
-        let counters = TelemetryCounters {
-            requests_served: u64_field(counters, "requests_served")?,
-            memo_hits: u64_field(counters, "memo_hits")?,
-            busy_replies: u64_field(counters, "busy_replies")?,
-            error_replies: u64_field(counters, "error_replies")?,
-            stats_requests: u64_field(counters, "stats_requests")?,
-            invalid_requests: u64_field(counters, "invalid_requests")?,
-            bytes_in: u64_field(counters, "bytes_in")?,
-            bytes_out: u64_field(counters, "bytes_out")?,
-            hot_requests: u64_field(counters, "hot_requests")?,
-            native_runs: u64_field(counters, "native_runs")?,
-            native_ops: u64_field(counters, "native_ops")?,
-        };
-
-        let cache = doc.get("cache").expect("checked");
-        expect_keys(
-            members_of(cache, "cache")?,
-            &["hits", "misses", "evictions", "entries"],
-            "cache",
-        )?;
-        let cache = CacheCounters {
-            hits: u64_field(cache, "hits")?,
-            misses: u64_field(cache, "misses")?,
-            evictions: u64_field(cache, "evictions")?,
-            entries: u64_field(cache, "entries")?,
-        };
-
-        let gauges = doc.get("gauges").expect("checked");
-        expect_keys(
-            members_of(gauges, "gauges")?,
-            &[
-                "inflight",
-                "busy_workers",
-                "queue_depths",
-                "peak_inflight",
-                "peak_busy_workers",
-                "peak_queue_depth",
-            ],
-            "gauges",
-        )?;
-        let depths = gauges
-            .get("queue_depths")
-            .and_then(Json::as_arr)
-            .ok_or("gauges.queue_depths must be an array")?;
-        let queue_depths = depths
-            .iter()
-            .map(|d| as_u64(d).ok_or_else(|| "queue_depths entries must be u64".to_string()))
-            .collect::<Result<Vec<u64>, String>>()?;
-        if queue_depths.is_empty() {
+        let snapshot = read_doc(doc, TELEMETRY_SCHEMA, |o| {
+            let counters = o.obj("counters", |c| {
+                Ok(TelemetryCounters {
+                    requests_served: c.u64("requests_served")?,
+                    memo_hits: c.u64("memo_hits")?,
+                    busy_replies: c.u64("busy_replies")?,
+                    error_replies: c.u64("error_replies")?,
+                    stats_requests: c.u64("stats_requests")?,
+                    invalid_requests: c.u64("invalid_requests")?,
+                    bytes_in: c.u64("bytes_in")?,
+                    bytes_out: c.u64("bytes_out")?,
+                    hot_requests: c.u64("hot_requests")?,
+                    native_runs: c.u64("native_runs")?,
+                    native_ops: c.u64("native_ops")?,
+                })
+            })?;
+            let cache = o.obj("cache", |c| {
+                Ok(CacheCounters {
+                    hits: c.u64("hits")?,
+                    misses: c.u64("misses")?,
+                    evictions: c.u64("evictions")?,
+                    entries: c.u64("entries")?,
+                })
+            })?;
+            let gauges = o.obj("gauges", |g| {
+                Ok(TelemetryGauges {
+                    inflight: g.u64("inflight")?,
+                    busy_workers: g.u64("busy_workers")?,
+                    queue_depths: g.counts("queue_depths")?,
+                    peak_inflight: g.u64("peak_inflight")?,
+                    peak_busy_workers: g.u64("peak_busy_workers")?,
+                    peak_queue_depth: g.u64("peak_queue_depth")?,
+                })
+            })?;
+            let hists = o.obj("histograms", |h| {
+                HIST_NAMES
+                    .iter()
+                    .map(|&name| Ok((name.to_string(), h.obj(name, hist_from_json)?)))
+                    .collect()
+            })?;
+            Ok(TelemetrySnapshot {
+                counters,
+                cache,
+                gauges,
+                hists,
+            })
+        })?;
+        if snapshot.gauges.queue_depths.is_empty() {
             return Err("gauges.queue_depths must name at least one shard".to_string());
         }
-        let gauges = TelemetryGauges {
-            inflight: u64_field(gauges, "inflight")?,
-            busy_workers: u64_field(gauges, "busy_workers")?,
-            queue_depths,
-            peak_inflight: u64_field(gauges, "peak_inflight")?,
-            peak_busy_workers: u64_field(gauges, "peak_busy_workers")?,
-            peak_queue_depth: u64_field(gauges, "peak_queue_depth")?,
-        };
-
-        let hists_doc = doc.get("histograms").expect("checked");
-        let hist_members = members_of(hists_doc, "histograms")?;
-        expect_keys(hist_members, &HIST_NAMES, "histograms")?;
-        let mut hists = Vec::with_capacity(HIST_NAMES.len());
-        for name in HIST_NAMES {
-            let h = hists_doc.get(name).expect("checked");
-            let snap = hist_from_json(h).map_err(|e| format!("histograms.{name}: {e}"))?;
-            hists.push((name.to_string(), snap));
-        }
-
-        let snapshot = TelemetrySnapshot {
-            counters,
-            cache,
-            gauges,
-            hists,
-        };
         snapshot.check_cross_invariants()?;
         Ok(snapshot)
     }
@@ -799,62 +741,62 @@ impl TelemetrySnapshot {
 /// Renders one histogram as its wire object: summary fields plus sparse
 /// `[index, count]` bucket pairs.
 fn hist_to_json(h: &HistSnapshot) -> Json {
-    let num = |v: u64| Json::Num(v as f64);
-    Json::Obj(vec![
-        ("count".to_string(), num(h.count)),
-        ("sum_ns".to_string(), num(h.sum)),
-        ("min_ns".to_string(), num(h.min)),
-        ("max_ns".to_string(), num(h.max)),
-        ("p50_ns".to_string(), num(h.quantile(50.0))),
-        ("p90_ns".to_string(), num(h.quantile(90.0))),
-        ("p99_ns".to_string(), num(h.quantile(99.0))),
+    obj([
+        ("count", h.count.into()),
+        ("sum_ns", h.sum.into()),
+        ("min_ns", h.min.into()),
+        ("max_ns", h.max.into()),
+        ("p50_ns", h.quantile(50.0).into()),
+        ("p90_ns", h.quantile(90.0).into()),
+        ("p99_ns", h.quantile(99.0).into()),
         (
-            "buckets".to_string(),
+            "buckets",
             Json::Arr(
                 h.buckets
                     .iter()
                     .enumerate()
                     .filter(|(_, &c)| c > 0)
-                    .map(|(i, &c)| Json::Arr(vec![num(i as u64), num(c)]))
+                    .map(|(i, &c)| Json::Arr(vec![i.into(), c.into()]))
                     .collect(),
             ),
         ),
     ])
 }
 
-/// Strict histogram reader: rebuilds the dense snapshot from the sparse
-/// pairs, then re-derives the summary fields and rejects disagreement.
-fn hist_from_json(doc: &Json) -> Result<HistSnapshot, String> {
-    expect_keys(
-        members_of(doc, "histogram")?,
-        &[
-            "count", "sum_ns", "min_ns", "max_ns", "p50_ns", "p90_ns", "p99_ns", "buckets",
-        ],
-        "histogram",
-    )?;
-    let count = u64_field(doc, "count")?;
-    let sum = u64_field(doc, "sum_ns")?;
-    let min = u64_field(doc, "min_ns")?;
-    let max = u64_field(doc, "max_ns")?;
-    let pairs = doc
-        .get("buckets")
-        .and_then(Json::as_arr)
-        .ok_or("`buckets` must be an array")?;
+/// Strict histogram reader: reads the members, then [`rebuild_hist`]
+/// checks them, its errors prefixed with the histogram's path.
+fn hist_from_json(doc: &mut View) -> Result<HistSnapshot, String> {
+    let count = doc.u64("count")?;
+    let sum = doc.u64("sum_ns")?;
+    let min = doc.u64("min_ns")?;
+    let max = doc.u64("max_ns")?;
+    let claimed = [doc.u64("p50_ns")?, doc.u64("p90_ns")?, doc.u64("p99_ns")?];
+    let pairs = doc.arr("buckets")?;
+    rebuild_hist(count, sum, min, max, claimed, pairs).map_err(|e| format!("{}: {e}", doc.path()))
+}
+
+/// Rebuilds the dense snapshot from the sparse pairs, then re-derives
+/// the summary fields and rejects disagreement.
+fn rebuild_hist(
+    count: u64,
+    sum: u64,
+    min: u64,
+    max: u64,
+    claimed: [u64; 3],
+    pairs: &[Json],
+) -> Result<HistSnapshot, String> {
     let mut buckets = vec![0u64; NUM_BUCKETS];
     let mut last_idx: Option<usize> = None;
     let mut bucket_total = 0u64;
     for pair in pairs {
-        let pair = pair
-            .as_arr()
-            .ok_or("bucket entries must be [index, count]")?;
-        let [idx, c] = pair else {
+        let Some([idx, c]) = pair.as_arr() else {
             return Err("bucket entries must be [index, count]".to_string());
         };
-        let idx = as_u64(idx).ok_or("bucket index must be a u64")? as usize;
-        let c = as_u64(c).ok_or("bucket count must be a u64")?;
-        if idx >= NUM_BUCKETS {
+        let idx = as_count(idx).ok_or("bucket index must be a count")?;
+        let c = as_count(c).ok_or("bucket count must be a count")?;
+        let Some(idx) = usize::try_from(idx).ok().filter(|&i| i < NUM_BUCKETS) else {
             return Err(format!("bucket index {idx} out of range"));
-        }
+        };
         if last_idx.is_some_and(|prev| idx <= prev) {
             return Err("bucket indices must be strictly ascending".to_string());
         }
@@ -906,8 +848,10 @@ fn hist_from_json(doc: &Json) -> Result<HistSnapshot, String> {
             ));
         }
     }
-    for (key, p) in [("p50_ns", 50.0), ("p90_ns", 90.0), ("p99_ns", 99.0)] {
-        let claimed = u64_field(doc, key)?;
+    for ((key, p), claimed) in [("p50_ns", 50.0), ("p90_ns", 90.0), ("p99_ns", 99.0)]
+        .into_iter()
+        .zip(claimed)
+    {
         let derived = snap.quantile(p);
         if claimed != derived {
             return Err(format!(
@@ -1036,40 +980,6 @@ pub fn sparkline(h: &HistSnapshot, cols: usize) -> String {
             }
         })
         .collect()
-}
-
-// -- small JSON helpers ------------------------------------------------
-
-fn members_of<'j>(doc: &'j Json, what: &str) -> Result<&'j [(String, Json)], String> {
-    match doc {
-        Json::Obj(members) => Ok(members),
-        _ => Err(format!("`{what}` must be an object")),
-    }
-}
-
-fn expect_keys(members: &[(String, Json)], expected: &[&str], what: &str) -> Result<(), String> {
-    for (k, _) in members {
-        if !expected.contains(&k.as_str()) {
-            return Err(format!("`{what}` has unknown member `{k}`"));
-        }
-    }
-    for want in expected {
-        if !members.iter().any(|(k, _)| k == want) {
-            return Err(format!("`{what}` is missing member `{want}`"));
-        }
-    }
-    Ok(())
-}
-
-fn as_u64(v: &Json) -> Option<u64> {
-    let n = v.as_num()?;
-    (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
-}
-
-fn u64_field(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(as_u64)
-        .ok_or_else(|| format!("`{key}` must be a non-negative integer"))
 }
 
 #[cfg(test)]
@@ -1256,7 +1166,7 @@ mod tests {
     fn empty_histogram_serializes_and_validates() {
         let h = Histogram::new().snapshot();
         let doc = hist_to_json(&h);
-        let back = hist_from_json(&doc).unwrap();
+        let back = View::read(&doc, String::new(), hist_from_json).unwrap();
         assert_eq!(back, h);
     }
 }
