@@ -10,8 +10,8 @@
 //! Pass `--report <path>` to also emit the machine-readable JSON report
 //! (schema `snslp-bench-compile-time/v1`). The checked-in
 //! `BENCH_compile_time.json` at the repository root is a snapshot of this
-//! output and the baseline the CI `bench-smoke` job (`bench_check`)
-//! compares against.
+//! output and the baseline CI's `snslp-bench check compile` compares
+//! against.
 //!
 //! Pass `--profile <path>` to also write a Chrome-trace/Perfetto profile
 //! of the measured compilations (spans from the `snslp-prof` layer) —

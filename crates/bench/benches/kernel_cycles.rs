@@ -3,7 +3,7 @@
 //!
 //! Wall time here tracks the dynamic instruction count of the compiled
 //! code, so the O3→SN-SLP ratio mirrors the simulated-cycle speedups the
-//! `figures` binary reports.
+//! `snslp-bench figures` reports.
 //!
 //! Plain `fn main()` harness (no external bench framework) so the
 //! workspace builds offline; run with `cargo bench --bench kernel_cycles`.

@@ -14,7 +14,7 @@
 //!   (`snslpc --report`, byte-stable under the virtual clock);
 //! - [`diff`]: root-causes a benchmark regression down to the specific
 //!   decisions whose outcomes changed, ranked by cycle impact
-//!   (`snslp-report diff A B`).
+//!   (`snslp-bench report diff A B`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -25,7 +25,6 @@ use snslp_interp::{run_with_args, ExecOptions};
 use snslp_trace::{DecisionId, Facet, Profile, Stage};
 
 use crate::json::{obj, read_text, round3, Json, View};
-use crate::stats::mode_code;
 
 /// The schema tag every attribution report carries; bump on breaking
 /// format changes.
@@ -287,7 +286,7 @@ pub fn attrib_kernel(kernel: &snslp_kernels::Kernel, cfg: &SlpConfig) -> Functio
 /// `cfg` via [`attrib_kernel`].
 pub fn collect_kernel_attrib(cfg: &SlpConfig) -> AttribReport {
     AttribReport {
-        mode: mode_code(cfg.mode).to_string(),
+        mode: cfg.mode.code().to_string(),
         functions: snslp_kernels::registry()
             .iter()
             .map(|kernel| attrib_kernel(kernel, cfg))

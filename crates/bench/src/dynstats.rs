@@ -13,7 +13,7 @@
 //! `cost-misprediction` remarks instead of drifting silently.
 //!
 //! The rendered JSON is the `BENCH_dyn.json` baseline checked in at the
-//! repository root and re-measured by `bench_check dyn` in CI; because
+//! repository root and re-measured by `snslp-bench check dyn` in CI; because
 //! the interpreter and cost model are fully deterministic, any cycle
 //! increase over the baseline is a real regression, not jitter.
 
@@ -23,7 +23,7 @@ use snslp_interp::{DynProfile, OpClass};
 use snslp_trace::{ReasonCode, Remark};
 
 use crate::json::{obj, read_text, Json, View};
-use crate::{measure_kernel_modes, DYN_MODES};
+use crate::{measure_kernel_modes, pipeline_code, DYN_MODES};
 
 /// The schema tag every dynstats report carries; bump on breaking format
 /// changes.
@@ -37,10 +37,6 @@ pub const DYNSTATS_SCHEMA: &str = "snslp-dynstats/v1";
 /// that the static model is not a perfect predictor), so the gate is a
 /// ratio band, not equality.
 pub const CALIBRATION_RATIO: f64 = 4.0;
-
-/// The pipeline labels of the dynstats report, matching
-/// [`crate::DYN_MODES`] order.
-pub const DYN_LABELS: [&str; 4] = ["o3", "slp", "lslp", "snslp"];
 
 /// One pipeline's dynamic measurement of one kernel.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +75,7 @@ pub struct KernelDyn {
     pub name: String,
     /// Loop iterations the measurement ran.
     pub iters: u64,
-    /// One entry per pipeline, [`DYN_LABELS`] order.
+    /// One entry per pipeline, [`crate::DYN_MODES`] order.
     pub modes: Vec<ModeDyn>,
 }
 
@@ -126,11 +122,10 @@ fn kernel_dyn(kernel: &snslp_kernels::Kernel) -> KernelDyn {
     let row = measure_kernel_modes(kernel, kernel.default_iters, &DYN_MODES);
     let modes = DYN_MODES
         .iter()
-        .zip(DYN_LABELS)
-        .map(|(&mode, label)| {
+        .map(|&mode| {
             let r = row.result(mode);
             ModeDyn {
-                label: label.to_string(),
+                label: pipeline_code(mode).to_string(),
                 cycles: r.cycles,
                 dyn_insts: r.dyn_insts,
                 predicted_cost: r.report.as_ref().map_or(0, |rep| rep.predicted_cost()),
@@ -935,17 +930,6 @@ mod tests {
     use super::*;
     use snslp_kernels::kernel_by_name;
 
-    #[test]
-    fn labels_match_compile_pipelines() {
-        for ((label, mode), dyn_label) in crate::COMPILE_PIPELINES.iter().zip(DYN_LABELS) {
-            assert_eq!(*label, dyn_label);
-            assert_eq!(
-                DYN_MODES[DYN_LABELS.iter().position(|l| *l == dyn_label).unwrap()],
-                *mode
-            );
-        }
-    }
-
     fn one_kernel_report(name: &str) -> DynReport {
         DynReport {
             kernels: vec![kernel_dyn(&kernel_by_name(name).unwrap())],
@@ -1160,7 +1144,7 @@ mod tests {
         assert!(speed.contains("povray_shade"));
         assert!(speed.contains("geomean"));
         let lanes = r.lane_table();
-        for label in DYN_LABELS {
+        for label in DYN_MODES.map(pipeline_code) {
             assert!(lanes.contains(label), "{lanes}");
         }
         let cal = r.calibration_table();

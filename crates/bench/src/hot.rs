@@ -16,15 +16,15 @@ use std::collections::BTreeMap;
 
 use snslp_core::FunctionReport;
 use snslp_cost::CostModel;
-use snslp_interp::{run_with_args, ArgSpec, ExecOptions, OpClass};
+use snslp_interp::{ArgSpec, ExecOptions, OpClass};
 use snslp_ir::Function;
 use snslp_jit::pcmap::check_partition;
-use snslp_jit::{HotMode, HotProfile, InstHot, JitError, LowerOptions, StubHot};
+use snslp_jit::{check_hotness, HotMode, HotProfile, InstHot, JitError, LowerOptions, StubHot};
 use snslp_trace::DecisionId;
 
 use crate::dynstats::{classes_from_json, classes_to_json};
 use crate::json::{obj, read_text, Json, View};
-use crate::{compile, DYN_MODES};
+use crate::{compile, pipeline_code, DYN_MODES};
 
 /// The schema tag every hot artifact carries; bump on breaking changes.
 pub const HOT_SCHEMA: &str = "snslp-hot/v1";
@@ -89,39 +89,6 @@ pub fn native_hot_timed(
         HotProfile::from_counts(f.name(), native.pc_map(), counts),
         wall_ns,
     ))
-}
-
-/// [`native_hot`] plus the exact reconciliation check: runs the
-/// interpreter on the same inputs and enforces that per-class native
-/// execution counts equal the [`DynProfile`](snslp_interp::DynProfile)
-/// totals. Returns the profile together with the interpreter's
-/// `dyn_insts`.
-///
-/// Returns `Ok(None)` when the row is legitimately unmeasurable (JIT
-/// fallback, no native backend, trap).
-///
-/// # Errors
-///
-/// A reconciliation failure (native and interpreted per-class counts
-/// disagree) is a lowering bug, never a skip.
-pub fn measure_hot(
-    f: &Function,
-    args: &[ArgSpec],
-    decisions: BTreeMap<u32, DecisionId>,
-) -> Result<Option<(HotProfile, u64)>, String> {
-    let Some(prof) = native_hot(f, args, decisions) else {
-        return Ok(None);
-    };
-    let model = CostModel::default();
-    let interp = run_with_args(f, args, &model, &ExecOptions::default())
-        .map_err(|e| format!("interpreter failed where the instrumented jit ran: {e}"))?;
-    prof.reconcile(&interp.exec.profile).map_err(|e| {
-        format!(
-            "@{}: native hotness does not reconcile with DynProfile: {e}",
-            f.name()
-        )
-    })?;
-    Ok(Some((prof, interp.exec.dyn_insts)))
 }
 
 /// Compiles `f` plainly (no instrumentation), arms the SIGPROF
@@ -276,16 +243,22 @@ pub fn collect_hot() -> (HotDoc, Vec<String>) {
     for kernel in snslp_kernels::registry() {
         let iters = kernel.default_iters.min(32);
         let args = kernel.args(iters);
-        for (&mode, label) in DYN_MODES.iter().zip(crate::dynstats::DYN_LABELS) {
-            let label = label.to_string();
+        for &mode in &DYN_MODES {
+            let label = pipeline_code(mode).to_string();
             let mut f = kernel.build();
             let (report, _) = compile(&mut f, mode);
             let decisions = report.as_ref().map(decision_map).unwrap_or_default();
-            match measure_hot(&f, &args, decisions) {
-                Ok(Some((profile, dyn_insts))) => entries.push(HotEntry {
+            match check_hotness(
+                &f,
+                &args,
+                &CostModel::default(),
+                &ExecOptions::default(),
+                decisions,
+            ) {
+                Ok(Some(profile)) => entries.push(HotEntry {
                     kernel: kernel.name.to_string(),
                     label,
-                    dyn_insts,
+                    dyn_insts: profile.total_ops(),
                     profile,
                 }),
                 Ok(None) => skipped.push(format!("{}/{label}", kernel.name)),
@@ -581,9 +554,16 @@ mod tests {
         let mut f = kernel.build();
         let report = run_slp(&mut f, &SlpConfig::new(SlpMode::SnSlp));
         let decisions = decision_map(&report);
-        let (profile, dyn_insts) = measure_hot(&f, &args, decisions)
-            .expect("reconciles")
-            .expect("covered");
+        let profile = check_hotness(
+            &f,
+            &args,
+            &CostModel::default(),
+            &ExecOptions::default(),
+            decisions,
+        )
+        .expect("reconciles")
+        .expect("covered");
+        let dyn_insts = profile.total_ops();
         assert!(profile.total_ops() > 0);
         assert_eq!(profile.total_ops(), dyn_insts);
         // At least one native range is decision-labeled.
@@ -682,9 +662,15 @@ mod tests {
             run_slp(&mut f, &SlpConfig::new(SlpMode::SnSlp));
             f
         };
-        let (profile, _) = measure_hot(&f, &kernel.args(8), BTreeMap::new())
-            .unwrap()
-            .unwrap();
+        let profile = check_hotness(
+            &f,
+            &kernel.args(8),
+            &CostModel::default(),
+            &ExecOptions::default(),
+            BTreeMap::new(),
+        )
+        .unwrap()
+        .unwrap();
         let ns = class_ns_split(&profile, 1_000_000);
         assert!(ns.iter().sum::<u64>() <= 1_000_000);
         // Every class the kernel executes gets a share.

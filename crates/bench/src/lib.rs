@@ -1,7 +1,7 @@
 //! # snslp-bench
 //!
 //! The measurement harness that regenerates every table and figure of the
-//! SN-SLP paper's evaluation (§V). The `figures` binary prints the series;
+//! SN-SLP paper's evaluation (§V). `snslp-bench figures` prints the series;
 //! the criterion benches under `benches/` measure wall-clock compile time
 //! and kernel execution.
 //!
@@ -36,15 +36,21 @@ use report::{CompileTimeReport, KernelTiming, Timing};
 /// vectorizers disabled.
 pub const MODES: [Option<SlpMode>; 3] = [None, Some(SlpMode::Lslp), Some(SlpMode::SnSlp)];
 
-/// All four pipelines of the dynamic-profile tables (Fig. 9/10
-/// reproduction): the evaluation modes of [`MODES`] plus vanilla SLP, so
-/// the dynstats report can show where plain SLP falls back to gathers.
+/// All four pipelines, in the order of every report that covers them
+/// (dynstats, hot, compile-time): the evaluation modes of [`MODES`] plus
+/// vanilla SLP, so the dynstats report can show where plain SLP falls
+/// back to gathers. Each report labels a pipeline with [`pipeline_code`].
 pub const DYN_MODES: [Option<SlpMode>; 4] = [
     None,
     Some(SlpMode::Slp),
     Some(SlpMode::Lslp),
     Some(SlpMode::SnSlp),
 ];
+
+/// A pipeline's report label: `o3`, or the mode's [`SlpMode::code`].
+pub fn pipeline_code(mode: Option<SlpMode>) -> &'static str {
+    mode.map_or("o3", SlpMode::code)
+}
 
 /// Label for a configuration.
 pub fn mode_label(mode: Option<SlpMode>) -> &'static str {
@@ -325,15 +331,6 @@ pub fn measure_benchmark(bench: &Benchmark) -> BenchRow {
     }
 }
 
-/// The four compile pipelines of the compile-time benchmark, as
-/// `(report label, configuration)` pairs.
-pub const COMPILE_PIPELINES: [(&str, Option<SlpMode>); 4] = [
-    ("o3", None),
-    ("slp", Some(SlpMode::Slp)),
-    ("lslp", Some(SlpMode::Lslp)),
-    ("snslp", Some(SlpMode::SnSlp)),
-];
-
 /// Mean and sample standard deviation of `samples`, in their own unit.
 fn mean_sd(samples: &[f64]) -> (f64, f64) {
     let n = samples.len() as f64;
@@ -388,17 +385,18 @@ fn snslp_cache_hit_rate(kernel: &Kernel) -> Option<f64> {
 }
 
 /// Measures compile time of every registry kernel under every pipeline
-/// of [`COMPILE_PIPELINES`], producing the machine-readable report the
-/// `compile_time` bench emits and `bench_check` re-measures.
+/// of [`DYN_MODES`], producing the machine-readable report the
+/// `compile_time` bench emits and `snslp-bench check compile` re-measures.
 pub fn measure_compile_times(warmup: usize, runs: usize) -> CompileTimeReport {
     let kernels = snslp_kernels::registry()
         .iter()
         .map(|kernel| KernelTiming {
             name: kernel.name.to_string(),
-            modes: COMPILE_PIPELINES
+            modes: DYN_MODES
                 .iter()
-                .map(|&(label, mode)| {
-                    (label.to_string(), time_pipeline(kernel, mode, warmup, runs))
+                .map(|&mode| {
+                    let timing = time_pipeline(kernel, mode, warmup, runs);
+                    (pipeline_code(mode).to_string(), timing)
                 })
                 .collect(),
             cache_hit_rate: snslp_cache_hit_rate(kernel),

@@ -2,8 +2,8 @@
 //! benchmark trajectory file `BENCH_compile_time.json` checked in at the
 //! repository root.
 //!
-//! The checked-in file is the baseline the CI `bench-smoke` job compares
-//! fresh measurements against (see `src/bin/bench_check.rs`): a kernel
+//! The checked-in file is the baseline `snslp-bench check compile` compares
+//! fresh measurements against in CI: a kernel
 //! whose fresh SN-SLP mean exceeds `REGRESSION_FACTOR` times the
 //! baseline mean fails the job.
 
@@ -14,7 +14,7 @@ use crate::json::{obj, read_text, round3, Json};
 pub const COMPILE_TIME_SCHEMA: &str = "snslp-bench-compile-time/v1";
 
 /// A fresh per-kernel mean may exceed the checked-in baseline by up to
-/// this factor before `bench_check` fails. Generous on purpose: CI
+/// this factor before `snslp-bench check compile` fails. Generous on purpose: CI
 /// machines are noisy, and the job exists to catch algorithmic
 /// regressions (quadratic blowups), not jitter.
 pub const REGRESSION_FACTOR: f64 = 2.0;

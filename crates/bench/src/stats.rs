@@ -190,19 +190,9 @@ impl StatsReport {
     }
 }
 
-/// Stable lowercase mode code used in the stats schema (matches the
-/// `pass=` field of remarks).
-pub fn mode_code(mode: SlpMode) -> &'static str {
-    match mode {
-        SlpMode::Slp => "slp",
-        SlpMode::Lslp => "lslp",
-        SlpMode::SnSlp => "snslp",
-    }
-}
-
 /// Runs every kernel of the evaluation registry under `mode` and returns
 /// one stats row per kernel function. The default corpus of
-/// `snslp-stats collect`.
+/// `snslp-bench stats collect`.
 pub fn collect_kernel_stats(mode: SlpMode) -> StatsReport {
     let cfg = SlpConfig::new(mode);
     let pairs: Vec<(String, FunctionReport)> = snslp_kernels::registry()
@@ -213,13 +203,13 @@ pub fn collect_kernel_stats(mode: SlpMode) -> StatsReport {
         })
         .collect();
     StatsReport::from_reports(
-        mode_code(mode),
+        mode.code(),
         pairs.iter().map(|(unit, r)| (unit.as_str(), r)),
     )
 }
 
 /// One module holding the scalar IR of every registry kernel — the corpus
-/// `snslp-stats emit-corpus` writes for `snslpc`-based smoke runs.
+/// `snslp-bench stats emit-corpus` writes for `snslpc`-based smoke runs.
 pub fn kernel_corpus_module() -> Module {
     let mut module = Module::new("kernel_corpus");
     for kernel in snslp_kernels::registry() {
@@ -245,7 +235,7 @@ pub struct DiffGates {
 
 impl Default for DiffGates {
     fn default() -> Self {
-        // Mirror the bench_check compile-time gate (2x) with a 500us
+        // Mirror the `check compile` gate (2x) with a 500us
         // absolute floor.
         DiffGates {
             stage_ratio: 2.0,

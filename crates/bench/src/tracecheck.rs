@@ -4,7 +4,7 @@
 //! `snslpd` writes through the JSON trace sink
 //! ([`validate_access_log`]).
 //!
-//! Used by the `snslp-stats validate-trace` subcommand and the test
+//! Used by `snslp-bench stats validate-trace` and the test
 //! suite: a trace must parse with the hand-rolled JSON parser, every
 //! event must carry the fields the format requires, and the complete
 //! (`ph:"X"`) events of each track must be monotone in `ts` and properly

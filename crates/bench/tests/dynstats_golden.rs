@@ -13,8 +13,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use snslp_bench::dynstats::DYN_LABELS;
-use snslp_bench::{measure_kernel_modes, DYN_MODES};
+use snslp_bench::{measure_kernel_modes, pipeline_code, DYN_MODES};
 use snslp_core::SlpMode;
 use snslp_kernels::kernel_by_name;
 
@@ -49,7 +48,8 @@ fn render_kernel(name: &str, iters: usize) -> String {
     let row = measure_kernel_modes(&kernel, iters, &DYN_MODES);
     let mut out = String::new();
     let _ = writeln!(out, "kernel {name} ({iters} iterations)");
-    for (&mode, label) in DYN_MODES.iter().zip(DYN_LABELS) {
+    for &mode in &DYN_MODES {
+        let label = pipeline_code(mode);
         let r = row.result(mode);
         let _ = writeln!(
             out,

@@ -16,10 +16,11 @@
 
 use std::path::PathBuf;
 
-use snslp_bench::dynstats::DYN_LABELS;
-use snslp_bench::hot::{decision_map, measure_hot, HotDoc, HotEntry};
-use snslp_bench::{compile, DYN_MODES};
-use snslp_jit::HotMode;
+use snslp_bench::hot::{decision_map, HotDoc, HotEntry};
+use snslp_bench::{compile, pipeline_code, DYN_MODES};
+use snslp_cost::CostModel;
+use snslp_interp::ExecOptions;
+use snslp_jit::{check_hotness, HotMode};
 use snslp_kernels::kernel_by_name;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -34,15 +35,17 @@ fn render_kernel(name: &str, iters: usize) -> String {
     let kernel = kernel_by_name(name).expect("registered kernel");
     let args = kernel.args(iters);
     let mut entries = Vec::new();
-    for (&mode, label) in DYN_MODES.iter().zip(DYN_LABELS) {
+    for &mode in &DYN_MODES {
+        let label = pipeline_code(mode);
         let mut f = kernel.build();
         let (report, _) = compile(&mut f, mode);
         let decisions = report.as_ref().map(decision_map).unwrap_or_default();
-        match measure_hot(&f, &args, decisions) {
-            Ok(Some((profile, dyn_insts))) => entries.push(HotEntry {
+        let model = CostModel::default();
+        match check_hotness(&f, &args, &model, &ExecOptions::default(), decisions) {
+            Ok(Some(profile)) => entries.push(HotEntry {
                 kernel: kernel.name.to_string(),
                 label: label.to_string(),
-                dyn_insts,
+                dyn_insts: profile.total_ops(),
                 profile,
             }),
             Ok(None) => panic!("{name}/{label}: jit declined a flagship kernel"),

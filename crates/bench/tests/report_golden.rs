@@ -14,7 +14,6 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 
 use snslp_bench::attrib::{attrib_kernel, diff, render_html, AttribReport};
-use snslp_bench::stats::mode_code;
 use snslp_core::{SlpConfig, SlpMode};
 use snslp_kernels::kernel_by_name;
 
@@ -50,7 +49,7 @@ fn compare_golden(name: &str, actual: &str) {
 fn attrib_under_virtual_clock(names: &[&str], cfg: &SlpConfig) -> AttribReport {
     snslp_trace::clock::set_virtual(true);
     let report = AttribReport {
-        mode: mode_code(cfg.mode).to_string(),
+        mode: cfg.mode.code().to_string(),
         functions: names
             .iter()
             .map(|name| attrib_kernel(&kernel_by_name(name).expect("registered kernel"), cfg))

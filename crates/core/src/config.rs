@@ -43,6 +43,28 @@ impl SlpMode {
             SlpMode::SnSlp => "SN-SLP",
         }
     }
+
+    /// Stable lowercase code (`slp`, `lslp`, `snslp`): the pipeline name
+    /// on command lines, in requests, remarks and every bench artifact.
+    pub fn code(self) -> &'static str {
+        match self {
+            SlpMode::Slp => "slp",
+            SlpMode::Lslp => "lslp",
+            SlpMode::SnSlp => "snslp",
+        }
+    }
+}
+
+impl std::str::FromStr for SlpMode {
+    type Err = String;
+
+    /// Parses a [`SlpMode::code`].
+    fn from_str(s: &str) -> Result<Self, String> {
+        [SlpMode::Slp, SlpMode::Lslp, SlpMode::SnSlp]
+            .into_iter()
+            .find(|m| m.code() == s)
+            .ok_or_else(|| format!("unknown mode `{s}` (want slp|lslp|snslp)"))
+    }
 }
 
 /// Tunable parameters of the vectorizer.
@@ -77,8 +99,8 @@ pub struct SlpConfig {
     /// Retain the final DOT source of every attempted graph on its
     /// [`GraphStats`](crate::GraphStats) entry, decision-stamped. Off by
     /// default (the pass allocates nothing for DOT then); the report
-    /// pipeline (`snslp-report`, `snslpc --report`) turns it on to embed
-    /// graph snapshots without going through the trace sink.
+    /// pipeline (`snslp-bench report`, `snslpc --report`) turns it on to
+    /// embed graph snapshots without going through the trace sink.
     pub keep_graph_dots: bool,
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Used by the `dot` trace facet (the pass dumps graphs at the
 //! pre-reorder, post-reorder and final stages, see [`crate::pass`]) and by
-//! the `graphdump` diagnostic tool. The output is plain `dot` language:
+//! the `snslp-bench graphdump` diagnostic tool. The output is plain `dot` language:
 //! pipe it through `dot -Tsvg` to visualize.
 
 use std::fmt::Write as _;

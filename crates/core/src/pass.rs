@@ -20,15 +20,6 @@ use crate::graph::{build_graph_cached, GatherWhy, SlpGraph};
 use crate::score_cache::LruScoreCache;
 use crate::seeds::collect_store_seeds;
 
-/// Stable lowercase pass code used in remarks and trace records.
-fn pass_code(mode: SlpMode) -> &'static str {
-    match mode {
-        SlpMode::Slp => "slp",
-        SlpMode::Lslp => "lslp",
-        SlpMode::SnSlp => "snslp",
-    }
-}
-
 /// Maps the dominant gather cause of a rejected graph to the remark
 /// reason code. Structural blockers get their own codes; benign gathers
 /// (constants, out-of-block leaves) mean the graph simply priced too
@@ -284,7 +275,7 @@ pub fn run_slp(f: &mut Function, cfg: &SlpConfig) -> FunctionReport {
     let metrics_before = MetricsSnapshot::current();
     let span = snslp_trace::Span::enter("pass.run_slp");
     span.note("fn", f.name());
-    span.note("mode", pass_code(cfg.mode));
+    span.note("mode", cfg.mode.code());
     let prof = ProfSpan::enter_with("pass.run_slp", || f.name().to_string());
     {
         let _t = StageTimer::start(Stage::Cleanup);
@@ -433,7 +424,7 @@ pub fn run_slp(f: &mut Function, cfg: &SlpConfig) -> FunctionReport {
             push_remark(
                 &mut remarks,
                 Remark {
-                    pass: pass_code(cfg.mode).to_string(),
+                    pass: cfg.mode.code().to_string(),
                     function: format!("@{}", f.name()),
                     block: bname.clone(),
                     site: site.clone(),
@@ -483,7 +474,7 @@ pub fn run_slp(f: &mut Function, cfg: &SlpConfig) -> FunctionReport {
                     push_remark(
                         &mut remarks,
                         Remark {
-                            pass: pass_code(cfg.mode).to_string(),
+                            pass: cfg.mode.code().to_string(),
                             function: format!("@{}", f.name()),
                             block: bname.clone(),
                             site,
@@ -565,7 +556,7 @@ pub fn run_slp(f: &mut Function, cfg: &SlpConfig) -> FunctionReport {
                 push_remark(
                     &mut remarks,
                     Remark {
-                        pass: pass_code(cfg.mode).to_string(),
+                        pass: cfg.mode.code().to_string(),
                         function: format!("@{}", f.name()),
                         block: bname.clone(),
                         site,

@@ -39,23 +39,6 @@ struct Fixture {
     inputs: Vec<ArgSpec>,
 }
 
-fn mode_of(name: &str) -> SlpMode {
-    match name {
-        "slp" => SlpMode::Slp,
-        "lslp" => SlpMode::Lslp,
-        "snslp" => SlpMode::SnSlp,
-        other => panic!("unknown mode `{other}` in fixture"),
-    }
-}
-
-fn mode_key(m: SlpMode) -> &'static str {
-    match m {
-        SlpMode::Slp => "slp",
-        SlpMode::Lslp => "lslp",
-        SlpMode::SnSlp => "snslp",
-    }
-}
-
 fn parse_fixture(text: &str) -> Fixture {
     let mut fx = Fixture::default();
     for line in text.lines() {
@@ -64,10 +47,17 @@ fn parse_fixture(text: &str) -> Fixture {
         };
         let comment = comment.trim();
         if let Some(modes) = comment.strip_prefix("RUN:") {
-            fx.runs = modes.split_whitespace().map(mode_of).collect();
+            fx.runs = modes
+                .split_whitespace()
+                .map(|m| m.parse().unwrap_or_else(|e| panic!("fixture: {e}")))
+                .collect();
         } else if let Some(rest) = comment.strip_prefix("CHECK[") {
             let (mode, check) = rest.split_once("]:").expect("CHECK[mode]: …");
-            let key = mode_key(mode_of(mode.trim()));
+            let key = mode
+                .trim()
+                .parse::<SlpMode>()
+                .unwrap_or_else(|e| panic!("fixture: {e}"))
+                .code();
             let check = check.trim();
             let parsed = if let Some(n) = check.strip_prefix("vectorized=") {
                 Check::Vectorized(n.trim().parse().unwrap())
@@ -101,7 +91,7 @@ fn run_fixture(path: &std::path::Path) {
         let mut f = orig.clone();
         let report = run_slp(&mut f, &SlpConfig::new(mode).with_verification());
         let out = f.to_string();
-        for check in fx.checks.get(mode_key(mode)).into_iter().flatten() {
+        for check in fx.checks.get(mode.code()).into_iter().flatten() {
             match check {
                 Check::Vectorized(n) => assert_eq!(
                     report.vectorized_graphs(),

@@ -39,10 +39,7 @@ fn parse_u64(s: &str) -> Option<u64> {
 fn parse_modes(s: &str) -> Option<Vec<SlpMode>> {
     match s {
         "all" => Some(ALL_MODES.to_vec()),
-        "slp" => Some(vec![SlpMode::Slp]),
-        "lslp" => Some(vec![SlpMode::Lslp]),
-        "snslp" => Some(vec![SlpMode::SnSlp]),
-        _ => None,
+        _ => s.parse().ok().map(|m| vec![m]),
     }
 }
 

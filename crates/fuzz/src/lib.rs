@@ -126,7 +126,7 @@ impl FuzzReport {
             self.cases, self.trapped_cases
         );
         for (mode, v) in &self.vectorized_per_mode {
-            let _ = writeln!(s, "vectorized[{}]: {v} graphs", oracle::mode_key(*mode));
+            let _ = writeln!(s, "vectorized[{}]: {v} graphs", mode.code());
         }
         let _ = writeln!(s, "metrics delta: {}", self.metrics.machine());
         let _ = write!(s, "divergences: {}", self.findings.len());

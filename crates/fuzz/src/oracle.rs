@@ -17,6 +17,7 @@
 //! backends run identical IR. Functions the JIT declines are fallback,
 //! not divergence.
 
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 use snslp_core::{optimize_o3, run_slp, FunctionReport, SlpConfig, SlpMode};
@@ -189,7 +190,7 @@ fn check_invariants(report: &FunctionReport, threshold: i32) -> Result<(), Strin
     Ok(())
 }
 
-/// Decision-anchor integrity — the contract the `snslp-report` join
+/// Decision-anchor integrity — the contract the `snslp-bench report` join
 /// depends on: every remark's [`DecisionId`](snslp_trace::DecisionId) is
 /// unique within the run and anchored to the function it was minted in;
 /// every remark that committed a cost resolves to exactly one graph
@@ -317,15 +318,6 @@ fn check_mem_traffic(baseline: &Outcome, after: &Outcome) -> Result<(), String> 
     Ok(())
 }
 
-/// Lower-case stage label for a mode.
-pub fn mode_key(mode: SlpMode) -> &'static str {
-    match mode {
-        SlpMode::Slp => "slp",
-        SlpMode::Lslp => "lslp",
-        SlpMode::SnSlp => "snslp",
-    }
-}
-
 /// Everything learned from a clean (non-diverging) case.
 #[derive(Debug, Clone)]
 pub struct CaseOutcome {
@@ -379,8 +371,14 @@ pub fn check_case(
     // Instrumented hotness on the same inputs: per-class native
     // execution counts must reconcile exactly with the interpreter's
     // DynProfile (a declined function is not a divergence).
-    snslp_jit::check_hotness(&case.function, &case.args, model, &ExecOptions::default())
-        .map_err(|e| fail("jit-hot", e))?;
+    snslp_jit::check_hotness(
+        &case.function,
+        &case.args,
+        model,
+        &ExecOptions::default(),
+        BTreeMap::new(),
+    )
+    .map_err(|e| fail("jit-hot", e))?;
 
     // Scalar O3 cleanup alone must already be semantics-preserving.
     let mut o3 = case.function.clone();
@@ -396,7 +394,7 @@ pub fn check_case(
 
     let mut reports = Vec::with_capacity(modes.len());
     for &mode in modes {
-        let key = mode_key(mode);
+        let key = mode.code();
         let mut f = case.function.clone();
         // verify_after stays off: the pass would panic on broken IR,
         // while the oracle wants to report it as a divergence instead.
@@ -429,8 +427,14 @@ pub fn check_case(
         // lowering of a committed SN-SLP graph would surface.
         snslp_jit::check_backends(&f, &case.args, model, &ExecOptions::default())
             .map_err(|e| fail(&format!("{key}-jit"), e))?;
-        snslp_jit::check_hotness(&f, &case.args, model, &ExecOptions::default())
-            .map_err(|e| fail(&format!("{key}-jit-hot"), e))?;
+        snslp_jit::check_hotness(
+            &f,
+            &case.args,
+            model,
+            &ExecOptions::default(),
+            BTreeMap::new(),
+        )
+        .map_err(|e| fail(&format!("{key}-jit-hot"), e))?;
         reports.push(report);
     }
     let baseline_trap = match baseline {

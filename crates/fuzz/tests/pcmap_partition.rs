@@ -53,7 +53,7 @@ fn generated_programs_partition_and_reconcile() {
         // counts must equal the interpreter's. Declines return Ok(None)
         // and are fine; an Err is a real counter bug.
         for (label, f) in [("scalar", &case.function), ("snslp", &v)] {
-            check_hotness(f, &case.args, &model, &exec)
+            check_hotness(f, &case.args, &model, &exec, BTreeMap::new())
                 .unwrap_or_else(|e| panic!("case {SEED:#x}/{i} ({label}): hotness diverged: {e}"));
         }
     }

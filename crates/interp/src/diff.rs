@@ -108,6 +108,32 @@ pub fn parse_inputs_line(spec: &str) -> Result<Vec<ArgSpec>, String> {
         .collect()
 }
 
+/// The arguments `f` runs on in a module whose text is `source`: the
+/// module's first `; INPUTS:` comment line, or no arguments when `f`
+/// takes none.
+///
+/// # Errors
+///
+/// A malformed `; INPUTS:` line, or a missing one when `f` takes
+/// parameters.
+pub fn module_inputs(source: &str, f: &Function) -> Result<Vec<ArgSpec>, String> {
+    let line = source.lines().find_map(|l| {
+        l.trim()
+            .strip_prefix(';')
+            .map(str::trim)
+            .and_then(|c| c.strip_prefix("INPUTS:"))
+    });
+    match line {
+        Some(spec) => parse_inputs_line(spec).map_err(|e| format!("bad INPUTS line: {e}")),
+        None if f.params().is_empty() => Ok(Vec::new()),
+        None => Err(format!(
+            "@{} takes {} parameters but the module has no `; INPUTS:` line",
+            f.name(),
+            f.params().len()
+        )),
+    }
+}
+
 /// Materializes `args` in a fresh memory, runs `f`, and reads the arrays
 /// back.
 ///

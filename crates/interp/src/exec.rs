@@ -110,7 +110,7 @@ impl Default for ExecOptions {
 pub struct ExecResult {
     /// Name of the executed function. The interpreter runs one function
     /// per call, so this keys dynamic profiles per function when results
-    /// from several functions are aggregated (e.g. by `snslp-report`).
+    /// from several functions are aggregated (e.g. by `snslp-bench report`).
     pub function: String,
     /// The returned value, if the function returns one.
     pub ret: Option<Value>,

@@ -20,23 +20,14 @@ fn main() {
         std::process::exit(2);
     });
     let mut f = k.build();
-    match mode.as_str() {
-        "o3" => {
-            optimize_o3(&mut f);
-        }
-        "slp" => {
-            run_slp(&mut f, &SlpConfig::new(SlpMode::Slp));
-        }
-        "lslp" => {
-            run_slp(&mut f, &SlpConfig::new(SlpMode::Lslp));
-        }
-        "snslp" => {
-            run_slp(&mut f, &SlpConfig::new(SlpMode::SnSlp));
-        }
-        other => {
-            eprintln!("unknown mode `{other}` (want o3|slp|lslp|snslp)");
+    if mode == "o3" {
+        optimize_o3(&mut f);
+    } else {
+        let Ok(slp) = mode.parse::<SlpMode>() else {
+            eprintln!("unknown mode `{mode}` (want o3|slp|lslp|snslp)");
             std::process::exit(2);
-        }
+        };
+        run_slp(&mut f, &SlpConfig::new(slp));
     }
     match compile(&f) {
         Ok(c) => print!("{}", c.dump()),

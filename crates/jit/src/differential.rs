@@ -7,9 +7,12 @@
 //! the returned value's bit pattern, the trap kind, the remaining fuel,
 //! and the entire final memory image.
 
+use std::collections::BTreeMap;
+
 use snslp_cost::CostModel;
 use snslp_interp::{run, ArgSpec, ExecOptions, Memory, Value};
 use snslp_ir::Function;
+use snslp_trace::DecisionId;
 
 use crate::hot::HotProfile;
 use crate::lower::LowerOptions;
@@ -161,7 +164,9 @@ pub fn check_backends(
 /// Runs `f` natively in instrumented-hotness mode and checks the exact
 /// reconciliation invariant: per-opcode-class native execution counts
 /// equal the interpreter's [`DynProfile`](snslp_interp::DynProfile)
-/// per-class op counts for the same inputs.
+/// per-class op counts for the same inputs, and the native total equals
+/// the interpreter's `dyn_insts`. `decisions` labels the profile's PC
+/// ranges with the vectorization decisions that emitted them.
 ///
 /// Returns `Ok(None)` when the invariant is vacuous: the JIT declines
 /// the function, the platform has no native execution, or the run traps
@@ -179,10 +184,11 @@ pub fn check_hotness(
     args: &[ArgSpec],
     model: &CostModel,
     opts: &ExecOptions,
+    decisions: BTreeMap<u32, DecisionId>,
 ) -> Result<Option<HotProfile>, String> {
     let lopts = LowerOptions {
         instrument: true,
-        ..LowerOptions::default()
+        decisions,
     };
     let compiled = match crate::compile_with(f, &lopts) {
         Ok(c) => c,

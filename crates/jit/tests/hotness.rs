@@ -2,11 +2,13 @@
 //! Table I kernel, compiled under `slp`, `lslp`, and `snslp` (plus the
 //! scalar `o3` baseline), must produce instrumented native per-class
 //! execution counts that equal the interpreter's `DynProfile` — the
-//! invariant [`check_hotness`] enforces. This is the tier the CI
-//! `hot-smoke` job drives through `bench_check hot`.
+//! invariant [`check_hotness`] enforces. CI also drives it through
+//! `snslp-bench check hot`.
 //!
 //! On hosts without the native backend every row reports `None` and the
 //! test degrades to checking that the skip contract holds.
+
+use std::collections::BTreeMap;
 
 use snslp_core::{optimize_o3, run_slp, SlpConfig, SlpMode};
 use snslp_cost::CostModel;
@@ -47,7 +49,7 @@ fn every_kernel_reconciles_under_every_pipeline() {
                     run_slp(&mut f, &SlpConfig::new(m));
                 }
             }
-            let prof = check_hotness(&f, &args, &model, &opts)
+            let prof = check_hotness(&f, &args, &model, &opts, BTreeMap::new())
                 .unwrap_or_else(|e| panic!("{} [{}]: {e}", kernel.name, label(mode)));
             match prof {
                 Some(prof) => {

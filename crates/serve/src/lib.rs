@@ -1,7 +1,7 @@
 //! The SN-SLP compile service: `snslpd` (a long-running daemon answering
 //! newline-delimited JSON compile requests over a Unix socket or stdio),
-//! `snslp-client` (a one-shot CLI client), and `snslp-bench serve` (a
-//! latency-gated load generator).
+//! `snslp-client` (a one-shot CLI client), and the latency-gated load
+//! generator behind `snslp-bench serve`.
 //!
 //! Why a service at all: the driver is fast, but cold process startup
 //! plus module parsing dominates small-module compile latency, and a

@@ -172,16 +172,12 @@ impl Request {
             .and_then(Json::as_str)
             .ok_or_else(|| fail("compile request is missing `module`".to_string()))?
             .to_string();
-        let mode = match doc.get("mode").and_then(Json::as_str).unwrap_or("snslp") {
-            "slp" => SlpMode::Slp,
-            "lslp" => SlpMode::Lslp,
-            "snslp" => SlpMode::SnSlp,
-            other => {
-                return Err(fail(format!(
-                    "unknown mode `{other}` (want slp|lslp|snslp)"
-                )))
-            }
-        };
+        let mode: SlpMode = doc
+            .get("mode")
+            .and_then(Json::as_str)
+            .unwrap_or("snslp")
+            .parse()
+            .map_err(fail)?;
         let target = doc
             .get("target")
             .and_then(Json::as_str)

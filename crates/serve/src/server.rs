@@ -48,9 +48,9 @@ use std::time::Duration;
 
 use snslp_bench::attrib::{attrib_function, render_html, AttribReport};
 use snslp_bench::json::Json;
-use snslp_bench::stats::mode_code;
 use snslp_core::{run_slp_module_cached, ArtifactCache, CacheStats, FunctionReport, SlpConfig};
-use snslp_interp::{parse_inputs_line, run_with_args, ExecOptions};
+use snslp_cost::CostModel;
+use snslp_interp::{module_inputs, run_with_args, ExecOptions};
 use snslp_ir::{parse_module, stable_text_hash, Function, FxHashMap, Module};
 use snslp_trace::serve::{EVENT_BUSY, EVENT_MEMO_HIT, SPAN_BATCH, SPAN_CONNECTION};
 use snslp_trace::{trace_event, Span};
@@ -564,7 +564,7 @@ fn build_ok_body(
     }
     if job.compile.artifacts.html {
         let report = AttribReport {
-            mode: mode_code(job.cfg.mode).to_string(),
+            mode: job.cfg.mode.code().to_string(),
             functions: reports
                 .iter()
                 .map(|r| {
@@ -609,29 +609,12 @@ fn hot_artifact(
     if !snslp_jit::native_supported() {
         return Ok((String::new(), NativeExec::default()));
     }
-    let inputs = source.lines().find_map(|l| {
-        l.trim()
-            .strip_prefix(';')
-            .map(str::trim)
-            .and_then(|c| c.strip_prefix("INPUTS:"))
-    });
-    let label = mode_code(cfg.mode).to_string();
+    let label = cfg.mode.code().to_string();
+    let model = CostModel::default();
     let mut native = NativeExec::default();
     let mut entries = Vec::new();
     for f in functions {
-        let args = match inputs {
-            Some(spec) => {
-                parse_inputs_line(spec).map_err(|e| format!("hot: bad INPUTS line: {e}"))?
-            }
-            None if f.params().is_empty() => Vec::new(),
-            None => {
-                return Err(format!(
-                    "hot: @{} takes {} parameters but the module has no `; INPUTS:` line",
-                    f.name(),
-                    f.params().len()
-                ))
-            }
-        };
+        let args = module_inputs(source, f).map_err(|e| format!("hot: {e}"))?;
         let decisions = reports
             .iter()
             .find(|r| r.function == f.name())
@@ -639,13 +622,15 @@ fn hot_artifact(
             .unwrap_or_default();
         // A jit fallback or trap is a legitimate gap in coverage, not
         // an error: the function simply has no row.
-        if let Some((profile, dyn_insts)) = snslp_bench::hot::measure_hot(f, &args, decisions)? {
+        if let Some(profile) =
+            snslp_jit::check_hotness(f, &args, &model, &ExecOptions::default(), decisions)?
+        {
             native.runs += 1;
-            native.ops += dyn_insts;
+            native.ops += profile.total_ops();
             entries.push(snslp_bench::hot::HotEntry {
                 kernel: f.name().to_string(),
                 label: label.clone(),
-                dyn_insts,
+                dyn_insts: profile.total_ops(),
                 profile,
             });
         }
@@ -665,27 +650,9 @@ fn dynstats_artifact(
     functions: &[Function],
     cfg: &SlpConfig,
 ) -> Result<String, String> {
-    let inputs = source.lines().find_map(|l| {
-        l.trim()
-            .strip_prefix(';')
-            .map(str::trim)
-            .and_then(|c| c.strip_prefix("INPUTS:"))
-    });
     let mut rows = Vec::new();
     for f in functions {
-        let args = match inputs {
-            Some(spec) => {
-                parse_inputs_line(spec).map_err(|e| format!("dynstats: bad INPUTS line: {e}"))?
-            }
-            None if f.params().is_empty() => Vec::new(),
-            None => {
-                return Err(format!(
-                    "dynstats: @{} takes {} parameters but the module has no `; INPUTS:` line",
-                    f.name(),
-                    f.params().len()
-                ))
-            }
-        };
+        let args = module_inputs(source, f).map_err(|e| format!("dynstats: {e}"))?;
         let out = run_with_args(f, &args, &cfg.model, &ExecOptions::default())
             .map_err(|e| format!("dynstats: @{}: execution failed: {e}", f.name()))?;
         rows.push((

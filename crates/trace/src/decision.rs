@@ -4,7 +4,7 @@
 //! [`DecisionId`] minted at the seed site. The same id is stamped onto the
 //! remark, the profiler span covering the decision, the DOT dump of the
 //! graph it produced and the per-graph cost entry on the function report,
-//! so downstream tooling (`snslp-report`) can join the five observability
+//! so downstream tooling (`snslp-bench report`) can join the five observability
 //! layers without fuzzy text matching.
 //!
 //! The id is built only from stable coordinates — function name, block

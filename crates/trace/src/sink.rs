@@ -4,7 +4,7 @@
 //! a [`RecordKind`]. The default [`TextSink`] renders one human-readable
 //! line per record to stderr; [`JsonSink`] renders one JSON object per
 //! line (machine consumption); [`BufferSink`] accumulates rendered lines
-//! in memory for tests and for the `graphdump` tool.
+//! in memory for tests and for `snslp-bench graphdump`.
 
 use std::fmt::Write as _;
 use std::io::Write as _;

@@ -71,10 +71,10 @@ use std::process::ExitCode;
 
 use snslp::bench::attrib::{attrib_function, render_html, AttribReport, DynSummary};
 use snslp::bench::dynstats::{DynReport, KernelDyn, ModeDyn};
-use snslp::bench::stats::{mode_code, StatsReport};
+use snslp::bench::stats::StatsReport;
 use snslp::core::{optimize_o3, run_slp_module, FunctionReport, SlpConfig, SlpMode};
 use snslp::cost::{CostModel, TargetDesc};
-use snslp::interp::{parse_inputs_line, run_with_args, ExecOptions};
+use snslp::interp::{module_inputs, run_with_args, ExecOptions};
 use snslp::ir::parse_module;
 
 struct Options {
@@ -142,10 +142,8 @@ fn parse_args() -> Result<Options, ExitCode> {
                 i += 1;
                 opts.mode = match args.get(i).map(String::as_str) {
                     Some("o3") => None,
-                    Some("slp") => Some(SlpMode::Slp),
-                    Some("lslp") => Some(SlpMode::Lslp),
-                    Some("snslp") => Some(SlpMode::SnSlp),
-                    _ => return Err(usage()),
+                    Some(code) => Some(code.parse().map_err(|_| usage())?),
+                    None => return Err(usage()),
                 };
             }
             "--target" => {
@@ -264,24 +262,7 @@ fn run_entry(
         },
     };
 
-    let inputs = source.lines().find_map(|l| {
-        l.trim()
-            .strip_prefix(';')
-            .map(str::trim)
-            .and_then(|c| c.strip_prefix("INPUTS:"))
-    });
-    let args = match inputs {
-        Some(spec) => parse_inputs_line(spec)?,
-        None if f.params().is_empty() => Vec::new(),
-        None => {
-            return Err(format!(
-                "@{} takes {} parameters but the module has no `; INPUTS:` line \
-                 describing them (e.g. `; INPUTS: f64[0,0] f64[1.5,2.0] i64:3`)",
-                f.name(),
-                f.params().len()
-            ))
-        }
-    };
+    let args = module_inputs(source, f)?;
 
     let model = CostModel::new(opts.target.clone());
     let out = run_with_args(f, &args, &model, &ExecOptions::default())
@@ -299,12 +280,7 @@ fn run_entry(
     eprint!("{}", out.exec.profile.render());
 
     let report = reports.iter().find(|r| r.function == f.name());
-    let label = match opts.mode {
-        None => "o3",
-        Some(SlpMode::Slp) => "slp",
-        Some(SlpMode::Lslp) => "lslp",
-        Some(SlpMode::SnSlp) => "snslp",
-    };
+    let label = snslp::bench::pipeline_code(opts.mode);
 
     // `--backend jit`: the interpreter pass above remains the profile
     // source; the native pass adds measured wall time after a bit-exact
@@ -381,14 +357,20 @@ fn run_entry(
         let decisions = report
             .map(snslp::bench::hot::decision_map)
             .unwrap_or_default();
-        match snslp::bench::hot::measure_hot(f, &args, decisions)? {
-            Some((profile, dyn_insts)) => {
+        match snslp::jit::check_hotness(
+            f,
+            &args,
+            &CostModel::default(),
+            &ExecOptions::default(),
+            decisions,
+        )? {
+            Some(profile) => {
                 let doc = snslp::bench::hot::HotDoc {
                     mode: snslp::jit::HotMode::Instrumented,
                     entries: vec![snslp::bench::hot::HotEntry {
                         kernel: f.name().to_string(),
                         label: label.to_string(),
-                        dyn_insts,
+                        dyn_insts: profile.total_ops(),
                         profile,
                     }],
                 };
@@ -554,7 +536,7 @@ fn main() -> ExitCode {
             if let Some(path) = &opts.stats_out {
                 let unit = unit_name(&opts.input);
                 let stats = StatsReport::from_reports(
-                    mode_code(mode),
+                    mode.code(),
                     reports.iter().map(|r| (unit.as_str(), r)),
                 );
                 if let Err(e) = std::fs::write(path, stats.to_json()) {
@@ -639,7 +621,7 @@ fn main() -> ExitCode {
             let unit = unit_name(&opts.input);
             let report = AttribReport {
                 // `--report` was rejected above unless a vectorizer ran.
-                mode: mode_code(opts.mode.expect("mode checked earlier")).to_string(),
+                mode: opts.mode.expect("mode checked earlier").code().to_string(),
                 functions: slp_reports
                     .iter()
                     .map(|r| {
