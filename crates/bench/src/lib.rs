@@ -2,8 +2,8 @@
 //!
 //! The measurement harness that regenerates every table and figure of the
 //! SN-SLP paper's evaluation (§V). `snslp-bench figures` prints the series;
-//! the criterion benches under `benches/` measure wall-clock compile time
-//! and kernel execution.
+//! the `compile_time` bench under `benches/` measures wall-clock compile
+//! time (`BENCH_compile_time.json` is a snapshot of its report).
 //!
 //! All performance numbers are *simulated cycles* from the cost model's
 //! execution view (see `snslp-cost`); compile times are wall-clock over
@@ -345,7 +345,7 @@ fn mean_sd(samples: &[f64]) -> (f64, f64) {
 
 /// Times one pipeline over fresh builds of a kernel: `warmup` discarded
 /// runs, then `runs` timed ones. Microseconds.
-fn time_pipeline(kernel: &Kernel, mode: Option<SlpMode>, warmup: usize, runs: usize) -> Timing {
+pub fn time_pipeline(kernel: &Kernel, mode: Option<SlpMode>, warmup: usize, runs: usize) -> Timing {
     for _ in 0..warmup {
         let mut f = kernel.build();
         compile(&mut f, mode);
@@ -408,25 +408,6 @@ pub fn measure_compile_times(warmup: usize, runs: usize) -> CompileTimeReport {
     }
 }
 
-/// Mean and sample standard deviation of wall-clock compile times over
-/// `runs` runs (after one warm-up), mirroring the paper's "10 runs + 1
-/// warm-up" methodology (§V).
-pub fn timed_compiles(kernel: &Kernel, mode: Option<SlpMode>, runs: usize) -> (f64, f64) {
-    let mut f = kernel.build();
-    compile(&mut f, mode); // warm-up
-    let samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let mut f = kernel.build();
-            let (_, t) = compile(&mut f, mode);
-            t.as_secs_f64()
-        })
-        .collect();
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>()
-        / (samples.len().saturating_sub(1)).max(1) as f64;
-    (mean, var.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,9 +435,13 @@ mod tests {
     }
 
     #[test]
-    fn timed_compiles_returns_sane_stats() {
+    fn time_pipeline_returns_sane_stats() {
         let k = kernel_by_name("motiv_leaf").unwrap();
-        let (mean, stdev) = timed_compiles(&k, Some(SlpMode::SnSlp), 3);
+        let Timing {
+            mean_us: mean,
+            sd_us: stdev,
+            ..
+        } = time_pipeline(&k, Some(SlpMode::SnSlp), 1, 3);
         assert!(mean > 0.0);
         assert!(stdev >= 0.0);
     }

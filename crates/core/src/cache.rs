@@ -27,7 +27,7 @@ use snslp_ir::{stable_function_hash, Function, FxHashMap, Module};
 use snslp_trace::{bump, Counter};
 
 use crate::config::SlpConfig;
-use crate::pass::{run_slp_module_with_threads, FunctionReport};
+use crate::pass::{run_slp, FunctionReport};
 
 /// Identity of one compile artifact: function content × configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,7 +94,7 @@ struct CacheInner {
     tick: u64,
 }
 
-/// Thread-safe LRU cache of compile artifacts, shared by every shard of
+/// Thread-safe LRU cache of compile artifacts, shared by every worker of
 /// the compile service.
 ///
 /// Values are `Arc`-shared so a hit clones a pointer, not a function
@@ -200,16 +200,15 @@ impl ArtifactCache {
 /// Cache-aware variant of
 /// [`run_slp_module_with_threads`](crate::run_slp_module_with_threads):
 /// functions whose `(body, config)` key is cached are answered from the
-/// cache; the rest are compiled in one parallel driver invocation and
-/// committed back. Reports come back in module function order either way.
+/// cache; the rest are compiled on the calling thread, in module order,
+/// and committed back. Reports come back in module function order.
 ///
-/// Duplicate keys *within* the module (the service batches functions from
-/// concurrent requests, which may race to submit identical content) are
-/// compiled once and fanned out to every occurrence.
+/// Duplicate keys *within* the module (`parse_module` accepts a module
+/// that repeats a function) are compiled once and fanned out to every
+/// occurrence.
 pub fn run_slp_module_cached(
     m: &mut Module,
     cfg: &SlpConfig,
-    threads: usize,
     cache: &ArtifactCache,
 ) -> Vec<FunctionReport> {
     let config_fp = cfg.fingerprint();
@@ -224,35 +223,21 @@ pub fn run_slp_module_cached(
 
     let mut slots: Vec<Option<Arc<CachedCompile>>> = keys.iter().map(|k| cache.get(k)).collect();
 
-    // In-batch dedupe: compile each missing key once.
-    let mut to_compile: Vec<usize> = Vec::new();
-    let mut seen: FxHashMap<CacheKey, usize> = FxHashMap::default();
-    for (i, slot) in slots.iter().enumerate() {
-        if slot.is_none() && !seen.contains_key(&keys[i]) {
-            seen.insert(keys[i], i);
-            to_compile.push(i);
+    // In-module dedupe: compile each missing key once.
+    let mut fresh: FxHashMap<CacheKey, Arc<CachedCompile>> = FxHashMap::default();
+    for (i, slot) in slots.iter_mut().enumerate() {
+        if slot.is_some() {
+            continue;
         }
-    }
-
-    if !to_compile.is_empty() {
-        let mut sub = Module::new(m.name());
-        for &i in &to_compile {
-            sub.add_function(m.functions()[i].clone());
-        }
-        let reports = run_slp_module_with_threads(&mut sub, cfg, threads);
-        let mut fresh: FxHashMap<CacheKey, Arc<CachedCompile>> = FxHashMap::default();
-        for ((&i, function), mut report) in to_compile.iter().zip(sub.into_functions()).zip(reports)
-        {
+        let artifact = fresh.entry(keys[i]).or_insert_with(|| {
+            let mut function = m.functions()[i].clone();
+            let mut report = run_slp(&mut function, cfg);
             report.elapsed = Duration::ZERO;
             let artifact = Arc::new(CachedCompile { function, report });
             cache.insert(keys[i], artifact.clone());
-            fresh.insert(keys[i], artifact);
-        }
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if slot.is_none() {
-                *slot = fresh.get(&keys[i]).cloned();
-            }
-        }
+            artifact
+        });
+        *slot = Some(artifact.clone());
     }
 
     let mut out = Vec::with_capacity(slots.len());
@@ -298,12 +283,12 @@ mod tests {
         let cfg = SlpConfig::new(SlpMode::SnSlp);
 
         let mut cold = module(&[("a", 1), ("b", 2)]);
-        let cold_reports = run_slp_module_cached(&mut cold, &cfg, 1, &cache);
+        let cold_reports = run_slp_module_cached(&mut cold, &cfg, &cache);
         assert_eq!(cache.stats().misses, 2);
         assert_eq!(cache.stats().hits, 0);
 
         let mut warm = module(&[("a", 1), ("b", 2)]);
-        let warm_reports = run_slp_module_cached(&mut warm, &cfg, 1, &cache);
+        let warm_reports = run_slp_module_cached(&mut warm, &cfg, &cache);
         assert_eq!(cache.stats().hits, 2);
         assert_eq!(cold.to_string(), warm.to_string());
         for (c, w) in cold_reports.iter().zip(&warm_reports) {
@@ -321,10 +306,10 @@ mod tests {
         let cache = ArtifactCache::new(64);
         let cfg = SlpConfig::new(SlpMode::SnSlp);
         let mut m1 = module(&[("a", 1), ("b", 2)]);
-        run_slp_module_cached(&mut m1, &cfg, 1, &cache);
+        run_slp_module_cached(&mut m1, &cfg, &cache);
 
         let mut m2 = module(&[("a", 1), ("b", 3)]);
-        run_slp_module_cached(&mut m2, &cfg, 1, &cache);
+        run_slp_module_cached(&mut m2, &cfg, &cache);
         let s = cache.stats();
         assert_eq!(s.hits, 1, "unchanged @a should hit");
         assert_eq!(s.misses, 3, "initial two plus changed @b");
@@ -334,9 +319,9 @@ mod tests {
     fn config_is_part_of_the_key() {
         let cache = ArtifactCache::new(64);
         let mut m = module(&[("a", 1)]);
-        run_slp_module_cached(&mut m, &SlpConfig::new(SlpMode::SnSlp), 1, &cache);
+        run_slp_module_cached(&mut m, &SlpConfig::new(SlpMode::SnSlp), &cache);
         let mut m = module(&[("a", 1)]);
-        run_slp_module_cached(&mut m, &SlpConfig::new(SlpMode::Slp), 1, &cache);
+        run_slp_module_cached(&mut m, &SlpConfig::new(SlpMode::Slp), &cache);
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 2);
     }
@@ -346,7 +331,7 @@ mod tests {
         let cache = ArtifactCache::new(64);
         let cfg = SlpConfig::new(SlpMode::SnSlp);
         let mut m = module(&[("a", 1), ("a", 1), ("a", 1)]);
-        let reports = run_slp_module_cached(&mut m, &cfg, 1, &cache);
+        let reports = run_slp_module_cached(&mut m, &cfg, &cache);
         assert_eq!(reports.len(), 3);
         assert_eq!(cache.stats().entries, 1);
         assert_eq!(reports[0].graphs, reports[1].graphs);
@@ -359,19 +344,19 @@ mod tests {
         let cfg = SlpConfig::new(SlpMode::SnSlp);
         for (n, k) in [("a", 1), ("b", 2)] {
             let mut m = module(&[(n, k)]);
-            run_slp_module_cached(&mut m, &cfg, 1, &cache);
+            run_slp_module_cached(&mut m, &cfg, &cache);
         }
         // Touch @a so @b becomes the LRU entry.
         let mut m = module(&[("a", 1)]);
-        run_slp_module_cached(&mut m, &cfg, 1, &cache);
+        run_slp_module_cached(&mut m, &cfg, &cache);
         // Inserting @c must evict @b, not @a.
         let mut m = module(&[("c", 3)]);
-        run_slp_module_cached(&mut m, &cfg, 1, &cache);
+        run_slp_module_cached(&mut m, &cfg, &cache);
         let s = cache.stats();
         assert_eq!(s.entries, 2);
         assert_eq!(s.evictions, 1);
         let mut m = module(&[("a", 1)]);
-        run_slp_module_cached(&mut m, &cfg, 1, &cache);
+        run_slp_module_cached(&mut m, &cfg, &cache);
         assert_eq!(cache.stats().hits, 2, "@a must still be resident");
     }
 
@@ -380,9 +365,9 @@ mod tests {
         let cache = ArtifactCache::new(8);
         let cfg = SlpConfig::new(SlpMode::SnSlp);
         let mut m = module(&[("a", 1)]);
-        run_slp_module_cached(&mut m, &cfg, 1, &cache);
+        run_slp_module_cached(&mut m, &cfg, &cache);
         let mut m = module(&[("a", 1)]);
-        let reports = run_slp_module_cached(&mut m, &cfg, 1, &cache);
+        let reports = run_slp_module_cached(&mut m, &cfg, &cache);
         assert_eq!(reports[0].elapsed, Duration::ZERO);
     }
 }

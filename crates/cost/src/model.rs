@@ -79,11 +79,6 @@ impl CostModel {
         }
     }
 
-    /// Creates a cost model with explicit parameters.
-    pub fn with_params(target: TargetDesc, params: CostParams) -> Self {
-        CostModel { target, params }
-    }
-
     /// The target description.
     pub fn target(&self) -> &TargetDesc {
         &self.target

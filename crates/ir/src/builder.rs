@@ -84,11 +84,6 @@ impl FunctionBuilder {
         self.emit(InstKind::Const(c), ty)
     }
 
-    /// Emits an `i32` constant.
-    pub fn const_i32(&mut self, v: i32) -> InstId {
-        self.constant(Constant::I32(v))
-    }
-
     /// Emits an `i64` constant.
     pub fn const_i64(&mut self, v: i64) -> InstId {
         self.constant(Constant::I64(v))

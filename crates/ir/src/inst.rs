@@ -796,11 +796,6 @@ impl InstKind {
         matches!(self, InstKind::Store { .. }) || self.is_terminator()
     }
 
-    /// Whether this instruction reads memory.
-    pub fn reads_memory(&self) -> bool {
-        matches!(self, InstKind::Load { .. })
-    }
-
     /// Whether this instruction writes memory.
     pub fn writes_memory(&self) -> bool {
         matches!(self, InstKind::Store { .. })

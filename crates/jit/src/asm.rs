@@ -207,11 +207,6 @@ impl Asm {
         self.op_rm(&[], true, &[0xFF], 0, base, disp);
     }
 
-    /// `movsxd dst, src32`.
-    pub fn movsxd_rr(&mut self, dst: Gpr, src: Gpr) {
-        self.op_rr(&[], true, &[0x63], dst.0, src.0);
-    }
-
     // ---- GPR ALU ----
 
     /// `add dst, src` (64-bit).

@@ -62,9 +62,4 @@ impl Kernel {
     pub fn args(&self, iters: usize) -> Vec<ArgSpec> {
         (self.args)(iters)
     }
-
-    /// Inputs for the default iteration count.
-    pub fn default_args(&self) -> Vec<ArgSpec> {
-        self.args(self.default_iters)
-    }
 }

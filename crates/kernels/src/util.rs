@@ -56,30 +56,6 @@ impl SplitMix64 {
     }
 }
 
-/// Loads `base[elem_index]` of scalar type `st` (element-indexed, not
-/// byte-indexed).
-pub fn load_elem(
-    fb: &mut FunctionBuilder,
-    base: InstId,
-    st: ScalarType,
-    elem_index: i64,
-) -> InstId {
-    let p = fb.ptradd_const(base, elem_index * i64::from(st.size_bytes()));
-    fb.load(st, p)
-}
-
-/// Stores `value` to `base[elem_index]`.
-pub fn store_elem(
-    fb: &mut FunctionBuilder,
-    base: InstId,
-    st: ScalarType,
-    elem_index: i64,
-    value: InstId,
-) -> InstId {
-    let p = fb.ptradd_const(base, elem_index * i64::from(st.size_bytes()));
-    fb.store(p, value)
-}
-
 /// Loads `base[dyn_base + elem_index]` where `dyn_base` is an `i64` value
 /// counted in elements.
 pub fn load_at(

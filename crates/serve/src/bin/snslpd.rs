@@ -9,13 +9,10 @@
 //!   `snslpd --stdio [flags]`         serve stdin/stdout, exit at EOF
 //!
 //! Flags:
-//!   `--shards N`          scheduler shards (default 2)
-//!   `--queue-depth N`     per-shard queue bound (default 64)
-//!   `--max-inflight N`    admission limit before busy replies (default 256)
-//!   `--batch-max N`       jobs coalesced per driver invocation (default 16)
+//!   `--workers N`         threads compiling queued requests (default 2)
+//!   `--max-inflight N`    queued-or-running requests before busy (default 256)
 //!   `--cache-entries N`   function-cache capacity (default 4096)
 //!   `--memo-entries N`    whole-request memo capacity (default 4096)
-//!   `--threads N`         driver threads per batch (default 1)
 //!
 //! `SNSLP_TRACE=events,json` turns the per-request `serve.access`
 //! records into an NDJSON access log on stderr (one line per request
@@ -28,8 +25,8 @@ use snslp_serve::{ServeConfig, Server};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: snslpd (--socket PATH | --stdio) [--shards N] [--queue-depth N] \
-         [--max-inflight N] [--batch-max N] [--cache-entries N] [--memo-entries N] [--threads N]"
+        "usage: snslpd (--socket PATH | --stdio) [--workers N] [--max-inflight N] \
+         [--cache-entries N] [--memo-entries N]"
     );
     std::process::exit(2);
 }
@@ -67,13 +64,10 @@ fn main() -> ExitCode {
                 }
             },
             "--stdio" => stdio = true,
-            "--shards" => cfg.shards = parse_num("--shards", args.next()),
-            "--queue-depth" => cfg.queue_depth = parse_num("--queue-depth", args.next()),
+            "--workers" => cfg.workers = parse_num("--workers", args.next()),
             "--max-inflight" => cfg.max_inflight = parse_num("--max-inflight", args.next()),
-            "--batch-max" => cfg.batch_max = parse_num("--batch-max", args.next()),
             "--cache-entries" => cfg.cache_entries = parse_num("--cache-entries", args.next()),
             "--memo-entries" => cfg.memo_entries = parse_num("--memo-entries", args.next()),
-            "--threads" => cfg.threads_per_batch = parse_num("--threads", args.next()),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("snslpd: unknown argument {other}");
@@ -93,7 +87,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!("snslpd: listening on {}", path.display());
-        // Serve until killed. The accept loop and shard workers own the
+        // Serve until killed. The accept loop and queue workers own the
         // process from here.
         loop {
             std::thread::park();

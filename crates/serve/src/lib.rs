@@ -8,10 +8,10 @@
 //! fleet of short-lived `snslpc` invocations shares nothing. A resident
 //! server amortizes both through two content-addressed cache levels — a
 //! whole-request memo over the raw module text and the function-level
-//! [`snslp_core::ArtifactCache`] — and schedules concurrent requests
-//! onto work-stealing shards that batch compatible jobs into single
-//! driver invocations. See [`server`] for the architecture and
-//! [`proto`] for the wire format.
+//! [`snslp_core::ArtifactCache`] — and compiles concurrent requests on a
+//! fixed worker pool fed by one job queue, each request its own driver
+//! invocation. See [`server`] for the architecture and [`proto`] for
+//! the wire format.
 
 pub mod client;
 pub mod loadgen;

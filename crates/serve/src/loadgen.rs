@@ -40,11 +40,11 @@ pub struct LoadgenOptions {
 
 impl Default for LoadgenOptions {
     fn default() -> Self {
-        // Two closed-loop clients: enough concurrency to exercise the
-        // shards, few enough that warm-phase latency on a single-core
-        // host measures the server, not core time-sharing. Twelve
-        // functions per module keeps the cold/warm latency ratio far
-        // from the 5x gate: cold compile time scales linearly with
+        // Two closed-loop clients: enough concurrency to keep both
+        // workers busy, few enough that warm-phase latency on a
+        // single-core host measures the server, not core time-sharing.
+        // Twelve functions per module keeps the cold/warm latency ratio
+        // far from the 5x gate: cold compile time scales linearly with
         // functions, while a warm (memo) request only pays text
         // hashing and socket I/O, which scale much flatter.
         LoadgenOptions {

@@ -1,28 +1,24 @@
-//! The `snslpd` server: sharded work-stealing scheduling, request
-//! batching, admission control, and the two-level artifact cache.
+//! The `snslpd` server: one job queue drained by a fixed worker pool,
+//! admission control, and the two-level artifact cache.
 //!
 //! # Architecture
 //!
 //! Each connection gets a *reader* (the connection's own thread) and a
 //! *writer* (a scoped helper thread). The reader classifies each request
 //! line and answers cheap cases inline — stats, malformed requests,
-//! whole-request memo hits, busy refusals — while compile jobs go to a
-//! shard queue with a per-request reply channel. The writer drains reply
+//! whole-request memo hits, busy refusals — while compile jobs go to the
+//! job queue with a per-request reply channel. The writer drains reply
 //! channels **in request order**, so replies are ordered per connection
 //! even though compiles from many connections finish out of order.
 //!
-//! Shards are worker threads with bounded queues. A worker drains up to
-//! [`ServeConfig::batch_max`] jobs at once — *batching*: jobs with the
-//! same config fingerprint are coalesced into one module and compiled by
-//! one driver invocation ([`run_slp_module_cached`]), so concurrent
-//! small requests amortize driver startup and share in-batch dedupe. An
-//! idle worker *steals* a batch from a sibling's queue before sleeping.
+//! [`ServeConfig::workers`] threads pop jobs from the one queue. Each job
+//! is one request: its own module, compiled by one
+//! [`run_slp_module_cached`] call on the worker's thread.
 //!
-//! Admission control is explicit: beyond
-//! [`ServeConfig::max_inflight`] queued-or-running compile requests (or
-//! when every shard queue is full) the server answers
-//! `{"status":"busy"}` instead of queueing unboundedly — the HTTP-429
-//! analogue. Clients retry; connections are never dropped.
+//! Admission control is explicit and is the queue's only bound: beyond
+//! [`ServeConfig::max_inflight`] queued-or-running compile requests the
+//! server answers `{"status":"busy"}` instead of queueing unboundedly —
+//! the HTTP-429 analogue. Clients retry; connections are never dropped.
 //!
 //! # Caching
 //!
@@ -43,7 +39,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use snslp_bench::attrib::{attrib_function, render_html, AttribReport};
@@ -52,7 +48,7 @@ use snslp_core::{run_slp_module_cached, ArtifactCache, CacheStats, FunctionRepor
 use snslp_cost::CostModel;
 use snslp_interp::{module_inputs, run_with_args, ExecOptions};
 use snslp_ir::{parse_module, stable_text_hash, Function, FxHashMap, Module};
-use snslp_trace::serve::{EVENT_BUSY, EVENT_MEMO_HIT, SPAN_BATCH, SPAN_CONNECTION};
+use snslp_trace::serve::{EVENT_BUSY, EVENT_MEMO_HIT, SPAN_CONNECTION};
 use snslp_trace::{trace_event, Span};
 
 use crate::proto::{
@@ -63,34 +59,24 @@ use crate::telemetry::{ReplyClass, ReqKind, ReqTelem, Stage, Telemetry, Telemetr
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker shards (each is one scheduler thread with its own queue).
-    pub shards: usize,
-    /// Pending jobs a shard queue holds before submits spill to the next
-    /// shard (and, with every queue full, requests go busy).
-    pub queue_depth: usize,
+    /// Worker threads draining the job queue; each compiles one request
+    /// at a time.
+    pub workers: usize,
     /// Compile requests queued-or-running before new ones go busy.
     pub max_inflight: usize,
-    /// Jobs one worker drains into a single batch.
-    pub batch_max: usize,
     /// Function-level artifact cache capacity (entries).
     pub cache_entries: usize,
     /// Whole-request memo capacity (entries).
     pub memo_entries: usize,
-    /// Driver worker threads per batch compile. 1 by default: shards are
-    /// the parallelism; nesting thread pools multiplies threads.
-    pub threads_per_batch: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            shards: 2,
-            queue_depth: 64,
+            workers: 2,
             max_inflight: 256,
-            batch_max: 16,
             cache_entries: 4096,
             memo_entries: 4096,
-            threads_per_batch: 1,
         }
     }
 }
@@ -108,17 +94,11 @@ pub struct ReplyMsg {
 struct Job {
     id: u64,
     compile: CompileRequest,
-    functions: Vec<Function>,
+    module: Module,
     cfg: SlpConfig,
-    fingerprint: u64,
     memo_key: u128,
     telem: ReqTelem,
     reply: mpsc::Sender<ReplyMsg>,
-}
-
-struct Shard {
-    queue: Mutex<VecDeque<Job>>,
-    cv: Condvar,
 }
 
 #[derive(Default)]
@@ -132,11 +112,12 @@ struct MemoEntry {
     num_functions: u64,
 }
 
-/// Shared server state: scheduler, caches, telemetry.
+/// Shared server state: job queue, caches, telemetry.
 pub struct ServerState {
     cfg: ServeConfig,
-    shards: Vec<Shard>,
-    next_shard: AtomicUsize,
+    queue: Mutex<VecDeque<Job>>,
+    /// Signalled when a job is queued and when `stop` is set.
+    queue_cv: Condvar,
     inflight: AtomicUsize,
     stop: AtomicBool,
     cache: ArtifactCache,
@@ -155,16 +136,10 @@ impl std::fmt::Debug for ServerState {
 
 impl ServerState {
     fn new(cfg: ServeConfig) -> ServerState {
-        let shards = (0..cfg.shards.max(1))
-            .map(|_| Shard {
-                queue: Mutex::new(VecDeque::new()),
-                cv: Condvar::new(),
-            })
-            .collect();
         ServerState {
             cache: ArtifactCache::new(cfg.cache_entries),
-            shards,
-            next_shard: AtomicUsize::new(0),
+            queue: Mutex::new(VecDeque::new()),
+            queue_cv: Condvar::new(),
             inflight: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
             memo: Mutex::new(Memo::default()),
@@ -196,16 +171,16 @@ impl ServerState {
     /// A full `snslpd-telemetry/v1` snapshot: registry state plus the
     /// scheduler gauges only the server can see.
     pub fn telemetry_snapshot(&self) -> TelemetrySnapshot {
-        let queue_depths = self
-            .shards
-            .iter()
-            .map(|s| s.queue.lock().unwrap_or_else(|e| e.into_inner()).len() as u64)
-            .collect();
+        let queue_depth = self.lock_queue().len() as u64;
         self.telemetry.snapshot(
             self.inflight.load(Ordering::Relaxed) as u64,
-            queue_depths,
+            vec![queue_depth],
             &self.cache.stats(),
         )
+    }
+
+    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<Job>> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     // -- memo ---------------------------------------------------------
@@ -251,7 +226,7 @@ impl ServerState {
 
     /// Classifies one request line. Cheap cases (stats, errors, memo
     /// hits, busy) are answered through `reply` immediately; compile jobs
-    /// are queued and answered later by a shard worker. Either way
+    /// are queued and answered later by a worker. Either way
     /// exactly one [`ReplyMsg`] is eventually sent on `reply`, carrying
     /// the request's stage telemetry for the writer to seal.
     pub fn handle_line(
@@ -298,10 +273,9 @@ impl ServerState {
         reply: mpsc::Sender<ReplyMsg>,
     ) {
         let cfg = compile.config();
-        let fingerprint = cfg.fingerprint();
         let memo_key = Self::memo_key(
             stable_text_hash(&compile.module_text),
-            fingerprint,
+            cfg.fingerprint(),
             &compile,
         );
         if let Some(entry) = self.memo_get(memo_key) {
@@ -331,7 +305,18 @@ impl ServerState {
         match admitted {
             Ok(prev) => self.telemetry.note_admitted(prev as u64 + 1),
             Err(_) => {
-                self.refuse_busy("in-flight limit", telem, &reply);
+                // The busy counter is bumped when the writer seals the
+                // reply, so a client that has read this refusal always
+                // sees it counted.
+                telem.class = ReplyClass::Busy;
+                trace_event!(EVENT_BUSY, "id" => id, "why" => "in-flight limit");
+                let body = failure_body(
+                    STATUS_BUSY,
+                    "server at capacity (in-flight limit); retry later",
+                );
+                let line = address(id, &body);
+                telem.mark(Stage::Render);
+                let _ = reply.send(ReplyMsg { line, telem });
                 return;
             }
         }
@@ -366,171 +351,79 @@ impl ServerState {
         let job = Job {
             id,
             compile,
-            functions: module.into_functions(),
+            module,
             cfg,
-            fingerprint,
             memo_key,
             telem,
             reply,
         };
-        if let Some(job) = self.submit(job) {
-            self.inflight.fetch_sub(1, Ordering::Relaxed);
-            self.refuse_busy("all shard queues full", job.telem, &job.reply);
-        }
+        let mut queue = self.lock_queue();
+        queue.push_back(job);
+        self.telemetry.note_queue_depth(queue.len() as u64);
+        drop(queue);
+        self.queue_cv.notify_one();
     }
 
-    fn refuse_busy(&self, why: &str, mut telem: ReqTelem, reply: &mpsc::Sender<ReplyMsg>) {
-        // The busy counter is bumped when the writer seals the reply, so
-        // a client that has read this refusal always sees it counted.
-        telem.class = ReplyClass::Busy;
-        trace_event!(EVENT_BUSY, "id" => telem.id(), "why" => why);
-        let body = failure_body(
-            STATUS_BUSY,
-            &format!("server at capacity ({why}); retry later"),
-        );
-        let line = address(telem.id(), &body);
-        telem.mark(Stage::Render);
-        let _ = reply.send(ReplyMsg { line, telem });
-    }
+    // -- workers ------------------------------------------------------
 
-    /// Round-robin submit with spill: try every shard once. Returns the
-    /// job back (for a busy reply) only when every queue is at depth.
-    fn submit(&self, job: Job) -> Option<Job> {
-        let start = self.next_shard.fetch_add(1, Ordering::Relaxed);
-        let n = self.shards.len();
-        let mut job = Some(job);
-        for i in 0..n {
-            let shard = &self.shards[(start + i) % n];
-            let mut q = shard.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if q.len() < self.cfg.queue_depth {
-                q.push_back(job.take().expect("job not yet queued"));
-                self.telemetry.note_queue_depth(q.len() as u64);
-                drop(q);
-                shard.cv.notify_one();
+    /// Blocks until a job is queued. `None` once `stop` is set and the
+    /// queue is empty; `stop` is only set under the queue lock, so the
+    /// check below cannot miss the shutdown wake-up.
+    fn next_job(&self) -> Option<Job> {
+        let mut queue = self.lock_queue();
+        loop {
+            if let Some(job) = queue.pop_front() {
+                return Some(job);
+            }
+            if self.stop.load(Ordering::Relaxed) {
                 return None;
             }
+            queue = self.queue_cv.wait(queue).unwrap_or_else(|e| e.into_inner());
         }
-        job
     }
 
-    // -- shard workers ------------------------------------------------
-
-    /// Drains a batch: own queue first, then steal from siblings, then
-    /// sleep briefly on the shard condvar. Empty result = check `stop`.
-    fn grab_batch(&self, idx: usize) -> Vec<Job> {
-        let n = self.shards.len();
-        let drain = |q: &mut VecDeque<Job>| -> Vec<Job> {
-            let take = q.len().min(self.cfg.batch_max.max(1));
-            q.drain(..take).collect()
-        };
-        {
-            let mut q = self.shards[idx]
-                .queue
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if !q.is_empty() {
-                return drain(&mut q);
-            }
+    fn worker(&self, idx: usize) {
+        while let Some(job) = self.next_job() {
+            self.run_job(job);
         }
-        for i in 1..n {
-            let victim = &self.shards[(idx + i) % n];
-            let mut q = victim.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if !q.is_empty() {
-                return drain(&mut q);
-            }
-        }
-        let q = self.shards[idx]
-            .queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let (mut q, _) = self.shards[idx]
-            .cv
-            .wait_timeout(q, Duration::from_millis(20))
-            .unwrap_or_else(|e| e.into_inner());
-        drain(&mut q)
+        snslp_trace::prof::flush_thread(&format!("serve-worker-{idx}"));
     }
 
-    fn worker(self: Arc<Self>, idx: usize) {
-        loop {
-            let batch = self.grab_batch(idx);
-            if batch.is_empty() {
-                if self.stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                continue;
-            }
-            self.run_batch(batch);
-        }
-        snslp_trace::prof::flush_thread(&format!("serve-shard-{idx}"));
-    }
-
-    /// Compiles one batch: jobs grouped by config fingerprint, each group
-    /// coalesced into a single module and run through the cached driver
-    /// once; reports are split back per job by index range.
-    fn run_batch(&self, batch: Vec<Job>) {
+    /// Compiles one request's module through the cached driver, renders
+    /// and memoizes its reply.
+    fn run_job(&self, mut job: Job) {
         self.telemetry.worker_busy_enter();
-        let n_jobs = batch.len();
-        let mut groups: Vec<(u64, Vec<Job>)> = Vec::new();
-        for mut job in batch {
-            job.telem.mark(Stage::Queue);
-            match groups.iter_mut().find(|(fp, _)| *fp == job.fingerprint) {
-                Some((_, jobs)) => jobs.push(job),
-                None => groups.push((job.fingerprint, vec![job])),
+        job.telem.mark(Stage::Queue);
+        let reports = run_slp_module_cached(&mut job.module, &job.cfg, &self.cache);
+        job.telem.mark(Stage::Compile);
+        let body = match build_ok_body(&job, &reports) {
+            Ok((body, native)) => {
+                job.telem.note_native(native.runs, native.ops);
+                self.memo_put(
+                    job.memo_key,
+                    MemoEntry {
+                        body: body.clone(),
+                        num_functions: reports.len() as u64,
+                    },
+                );
+                job.telem.class = ReplyClass::Ok;
+                body
             }
-        }
-        let mut outgoing: Vec<(mpsc::Sender<ReplyMsg>, ReplyMsg)> = Vec::with_capacity(n_jobs);
-        for (_, jobs) in groups {
-            let span = Span::enter(SPAN_BATCH);
-            span.note("jobs", jobs.len() as u64);
-            let cfg = jobs[0].cfg.clone();
-            let mut module = Module::new("serve-batch");
-            let mut ranges = Vec::with_capacity(jobs.len());
-            for job in &jobs {
-                let start = module.functions().len();
-                for f in &job.functions {
-                    module.add_function(f.clone());
-                }
-                ranges.push((start, job.functions.len()));
+            Err(e) => {
+                job.telem.class = ReplyClass::Error;
+                failure_body(STATUS_ERROR, &e)
             }
-            let reports =
-                run_slp_module_cached(&mut module, &cfg, self.cfg.threads_per_batch, &self.cache);
-            for (mut job, (start, len)) in jobs.into_iter().zip(ranges) {
-                job.telem.mark(Stage::Compile);
-                let job_reports = &reports[start..start + len];
-                let job_functions = &module.functions()[start..start + len];
-                let body = match build_ok_body(&job, job_reports, job_functions) {
-                    Ok((body, native)) => {
-                        job.telem.note_native(native.runs, native.ops);
-                        self.memo_put(
-                            job.memo_key,
-                            MemoEntry {
-                                body: body.clone(),
-                                num_functions: len as u64,
-                            },
-                        );
-                        job.telem.class = ReplyClass::Ok;
-                        body
-                    }
-                    Err(e) => {
-                        job.telem.class = ReplyClass::Error;
-                        failure_body(STATUS_ERROR, &e)
-                    }
-                };
-                let line = address(job.id, &body);
-                job.telem.mark(Stage::Render);
-                let Job { reply, telem, .. } = job;
-                outgoing.push((reply, ReplyMsg { line, telem }));
-            }
-        }
-        // Free capacity and go idle *before* the replies travel to the
-        // writers: a client that has read its reply then observes the
+        };
+        let line = address(job.id, &body);
+        job.telem.mark(Stage::Render);
+        // Free capacity and go idle *before* the reply travels to the
+        // writer: a client that has read its reply then observes the
         // inflight and busy-worker gauges already settled, which is what
         // keeps the virtual-clock telemetry golden byte-stable.
-        self.inflight.fetch_sub(n_jobs, Ordering::Relaxed);
+        self.inflight.fetch_sub(1, Ordering::Relaxed);
         self.telemetry.worker_busy_exit();
-        for (tx, msg) in outgoing {
-            let _ = tx.send(msg);
-        }
+        let Job { reply, telem, .. } = job;
+        let _ = reply.send(ReplyMsg { line, telem });
     }
 }
 
@@ -545,11 +438,8 @@ struct NativeExec {
 
 /// Renders a job's `ok` reply body, including any requested artifacts,
 /// plus the native-execution totals for the telemetry counters.
-fn build_ok_body(
-    job: &Job,
-    reports: &[FunctionReport],
-    functions: &[Function],
-) -> Result<(String, NativeExec), String> {
+fn build_ok_body(job: &Job, reports: &[FunctionReport]) -> Result<(String, NativeExec), String> {
+    let functions = job.module.functions();
     let mut native = NativeExec::default();
     let mut artifacts: Vec<(String, String)> = Vec::new();
     if job.compile.artifacts.codegen {
@@ -758,7 +648,7 @@ pub fn serve_connection(state: &Arc<ServerState>, reader: impl BufRead, writer: 
     drop(span);
 }
 
-/// A running server: shard workers plus (optionally) a Unix-socket
+/// A running server: queue workers plus (optionally) a Unix-socket
 /// accept loop. Dropping without [`Server::shutdown`] leaks the worker
 /// threads until process exit — fine for a daemon, rude in tests.
 #[derive(Debug)]
@@ -769,17 +659,17 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts the shard workers. No I/O yet: combine with
+    /// Starts the workers. No I/O yet: combine with
     /// [`Server::bind_unix`] or [`Server::serve_stdio`].
     pub fn start(cfg: ServeConfig) -> Server {
         let state = Arc::new(ServerState::new(cfg));
-        let workers = (0..state.cfg.shards.max(1))
+        let workers = (0..state.cfg.workers.max(1))
             .map(|i| {
                 let state = state.clone();
                 std::thread::Builder::new()
-                    .name(format!("snslpd-shard-{i}"))
+                    .name(format!("snslpd-worker-{i}"))
                     .spawn(move || state.worker(i))
-                    .expect("spawn shard worker")
+                    .expect("spawn worker")
             })
             .collect();
         Server {
@@ -856,10 +746,11 @@ impl Server {
 
     /// Stops workers and the accept loop, removes the socket file.
     pub fn shutdown(self) {
-        self.state.stop.store(true, Ordering::Relaxed);
-        for shard in &self.state.shards {
-            shard.cv.notify_all();
+        {
+            let _queue = self.state.lock_queue();
+            self.state.stop.store(true, Ordering::Relaxed);
         }
+        self.state.queue_cv.notify_all();
         for w in self.workers {
             let _ = w.join();
         }

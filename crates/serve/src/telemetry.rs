@@ -8,7 +8,7 @@
 //! charges the time since the previous mark to one of five stages:
 //!
 //! * **parse** — request-line JSON decode plus module parse/verify;
-//! * **queue** — waiting in a shard queue for a worker;
+//! * **queue** — waiting in the job queue for a worker;
 //! * **compile** — the driver invocation (or the memo lookup on a hit);
 //! * **render** — reply-body JSON rendering;
 //! * **write** — from render until the reply is handed to the socket.
@@ -58,7 +58,7 @@ pub const HIST_NAMES: [&str; 7] = [
 pub enum Stage {
     /// Request-line decode plus module parse/verify.
     Parse,
-    /// Shard-queue wait.
+    /// Job-queue wait.
     Queue,
     /// Driver invocation or memo lookup.
     Compile,
@@ -172,11 +172,6 @@ impl ReqTelem {
     /// Sets the echoed request id once parsing recovers it.
     pub fn set_id(&mut self, id: u64) {
         self.id = id;
-    }
-
-    /// The echoed request id (0 until parsing recovers one).
-    pub fn id(&self) -> u64 {
-        self.id
     }
 
     /// Charges the time since the previous mark to `stage`.
@@ -336,14 +331,14 @@ impl Telemetry {
         );
     }
 
-    /// A worker started compiling a batch.
+    /// A worker started compiling a job.
     pub fn worker_busy_enter(&self) {
         let now = self.busy_workers.fetch_add(1, Ordering::Relaxed) + 1;
         self.peak_busy_workers.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// A worker finished its batch (called before the replies are sent,
-    /// so a client that has seen its reply also sees the worker idle).
+    /// A worker finished its job (called before the reply is sent, so a
+    /// client that has seen its reply also sees the worker idle).
     pub fn worker_busy_exit(&self) {
         self.busy_workers.fetch_sub(1, Ordering::Relaxed);
     }
@@ -355,7 +350,7 @@ impl Telemetry {
             .fetch_max(inflight_now, Ordering::Relaxed);
     }
 
-    /// A shard queue grew to `depth` entries.
+    /// The job queue grew to `depth` entries.
     pub fn note_queue_depth(&self, depth: u64) {
         self.peak_queue_depth.fetch_max(depth, Ordering::Relaxed);
     }
@@ -370,14 +365,9 @@ impl Telemetry {
         self.busy_replies.load(Ordering::Relaxed)
     }
 
-    /// Successful compile replies so far (fresh + memo).
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served.load(Ordering::Relaxed)
-    }
-
     /// Assembles the full snapshot. The caller supplies the scheduler
-    /// gauges the registry cannot see (current inflight, per-shard queue
-    /// depths) and the function-cache counters.
+    /// gauges the registry cannot see (current inflight, queue depths)
+    /// and the function-cache counters.
     pub fn snapshot(
         &self,
         inflight: u64,
@@ -461,9 +451,9 @@ pub struct CacheCounters {
 pub struct TelemetryGauges {
     /// Compile requests queued-or-running right now.
     pub inflight: u64,
-    /// Workers inside a batch compile right now.
+    /// Workers inside a compile right now.
     pub busy_workers: u64,
-    /// Current depth of each shard queue, in shard order.
+    /// Current depth of each job queue (`snslpd` has one).
     pub queue_depths: Vec<u64>,
     pub peak_inflight: u64,
     pub peak_busy_workers: u64,
@@ -482,22 +472,6 @@ pub struct TelemetrySnapshot {
 }
 
 impl TelemetrySnapshot {
-    /// An all-zero snapshot (useful as a delta baseline).
-    pub fn empty(shards: usize) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            counters: TelemetryCounters::default(),
-            cache: CacheCounters::default(),
-            gauges: TelemetryGauges {
-                queue_depths: vec![0; shards],
-                ..Default::default()
-            },
-            hists: HIST_NAMES
-                .iter()
-                .map(|n| (n.to_string(), HistSnapshot::empty()))
-                .collect(),
-        }
-    }
-
     /// The named histogram, if present.
     pub fn hist(&self, name: &str) -> Option<&HistSnapshot> {
         self.hists.iter().find(|(n, _)| n == name).map(|(_, h)| h)
@@ -662,7 +636,7 @@ impl TelemetrySnapshot {
             })
         })?;
         if snapshot.gauges.queue_depths.is_empty() {
-            return Err("gauges.queue_depths must name at least one shard".to_string());
+            return Err("gauges.queue_depths must name at least one queue".to_string());
         }
         snapshot.check_cross_invariants()?;
         Ok(snapshot)

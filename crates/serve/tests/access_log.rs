@@ -36,10 +36,10 @@ fn access_log_agrees_with_snapshot_and_client() {
 
     let mut snap: Option<TelemetrySnapshot> = None;
     let lines = snslp_trace::capture_json(Facet::Events as u32, || {
-        // One shard, one worker: every request takes the same code path,
+        // One worker: every request takes the same code path,
         // which keeps the access-log assertions exact.
         let server = Server::start(ServeConfig {
-            shards: 1,
+            workers: 1,
             ..ServeConfig::default()
         });
         let mut client = Client::from_stream(server.connect_in_process().expect("connect"));

@@ -17,13 +17,11 @@ const MODE: &str = "snslp";
 const TARGET: &str = "avx2";
 const FLOOD: usize = 60;
 
-/// A tiny server: one shard, two-deep queue, four requests in flight.
+/// A tiny server: one worker, four requests in flight.
 fn tiny_config() -> ServeConfig {
     ServeConfig {
-        shards: 1,
-        queue_depth: 2,
+        workers: 1,
         max_inflight: 4,
-        batch_max: 2,
         ..ServeConfig::default()
     }
 }
@@ -97,6 +95,13 @@ fn flood_past_inflight_limit_yields_busy_not_drops() {
         server.state().busy_replies(),
         busy as u64,
         "server-side busy counter disagrees with observed refusals"
+    );
+    // Admission is the job queue's only bound.
+    let gauges = server.state().telemetry_snapshot().gauges;
+    assert!(
+        gauges.peak_queue_depth <= tiny_config().max_inflight as u64,
+        "queue grew to {} past max_inflight",
+        gauges.peak_queue_depth
     );
 
     // Every accepted request produced the same bytes an unloaded server

@@ -33,10 +33,8 @@ fn module(seed: u64, first: u64, n: u64) -> String {
 fn busy_refusals_stay_out_of_the_histograms() {
     const FLOOD: usize = 24;
     let server = Server::start(ServeConfig {
-        shards: 1,
-        queue_depth: 1,
+        workers: 1,
         max_inflight: 1,
-        batch_max: 1,
         ..ServeConfig::default()
     });
     let stream = server.connect_in_process().expect("connect");
@@ -92,7 +90,7 @@ fn busy_refusals_stay_out_of_the_histograms() {
 #[test]
 fn live_snapshot_round_trips_and_rejects_tampering() {
     let server = Server::start(ServeConfig {
-        shards: 1,
+        workers: 1,
         ..ServeConfig::default()
     });
     let mut client = Client::from_stream(server.connect_in_process().expect("connect"));

@@ -2,7 +2,7 @@
 //!
 //! Under the virtual trace clock every `clock::now_ns()` read advances
 //! exactly [`snslp_trace::clock::VIRTUAL_TICK_NS`], so a fixed request
-//! sequence against a one-shard server produces a fully deterministic
+//! sequence against a one-worker server produces a fully deterministic
 //! snapshot: every stage duration is a count of clock reads, not wall
 //! time. The rendered JSON must match the checked-in golden byte for
 //! byte — any drift means the wire format, the stage accounting, or the
@@ -45,7 +45,7 @@ fn module(first: u64) -> String {
 fn snapshot_is_byte_stable_under_the_virtual_clock() {
     clock::set_virtual(true);
     let server = Server::start(ServeConfig {
-        shards: 1,
+        workers: 1,
         ..ServeConfig::default()
     });
     let mut client = Client::from_stream(server.connect_in_process().expect("connect"));

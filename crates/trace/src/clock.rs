@@ -54,11 +54,6 @@ pub fn set_virtual(enabled: bool) {
     VIRTUAL.store(enabled, Ordering::SeqCst);
 }
 
-/// Is the virtual clock active?
-pub fn is_virtual() -> bool {
-    VIRTUAL.load(Ordering::Relaxed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

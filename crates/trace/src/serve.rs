@@ -9,12 +9,6 @@
 /// Span covering one accepted connection, from accept to hangup.
 pub const SPAN_CONNECTION: &str = "serve.connection";
 
-/// Span covering one request: read, compile (or cache hit), reply.
-pub const SPAN_REQUEST: &str = "serve.request";
-
-/// Span covering one shard batch: drain queue, group, run the driver.
-pub const SPAN_BATCH: &str = "serve.batch";
-
 /// Event: a request was refused with a `busy` reply (in-flight limit).
 pub const EVENT_BUSY: &str = "serve.busy";
 

@@ -8,7 +8,7 @@
 //! kernel's `default_iters`).
 
 use snslp::bench::dynstats::collect_kernel_dyn;
-use snslp::bench::{measure_benchmark, measure_kernel, timed_compiles, KernelRow};
+use snslp::bench::{measure_benchmark, measure_kernel, time_pipeline, KernelRow};
 use snslp::core::{build_graph, evaluate, BlockCtx, SlpConfig, SlpMode};
 use snslp::kernels::{benchmarks, kernel_by_name, registry};
 use snslp::trace::MetricsSnapshot;
@@ -419,18 +419,18 @@ fn fig11() {
         "kernel", "O3 (µs)", "LSLP (norm±sd)", "SN-SLP (norm±sd)", "SN-SLP/LSLP"
     );
     for k in registry() {
-        let (o3, _) = timed_compiles(&k, None, 10);
-        let (l, lsd) = timed_compiles(&k, Some(SlpMode::Lslp), 10);
-        let (s, ssd) = timed_compiles(&k, Some(SlpMode::SnSlp), 10);
+        let o3 = time_pipeline(&k, None, 1, 10).mean_us;
+        let l = time_pipeline(&k, Some(SlpMode::Lslp), 1, 10);
+        let s = time_pipeline(&k, Some(SlpMode::SnSlp), 1, 10);
         println!(
             "{:<18} {:>12.1} {:>10.2}±{:.2} {:>10.2}±{:.2} {:>13.2}",
             k.name,
-            o3 * 1e6,
-            l / o3,
-            lsd / o3,
-            s / o3,
-            ssd / o3,
-            s / l,
+            o3,
+            l.mean_us / o3,
+            l.sd_us / o3,
+            s.mean_us / o3,
+            s.sd_us / o3,
+            s.mean_us / l.mean_us,
         );
     }
     println!("(the O3 baseline is only the scalar cleanup pipeline — a tiny fraction of a");
