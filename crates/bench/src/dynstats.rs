@@ -64,7 +64,7 @@ pub struct ModeDyn {
     /// The measured wall time split per opcode class
     /// ([`OpClass::ALL`] order), apportioned by executed native bytes
     /// from an exact instrumented-hotness run. `None` whenever
-    /// `wall_ns` is. The per-class ns-vs-predicted calibration axis.
+    /// `wall_ns` is. Advisory: no gate reads it.
     pub class_ns: Option<[u64; 5]>,
 }
 
@@ -326,114 +326,6 @@ pub fn wall_geomean(report: &DynReport, label: &str) -> Option<(f64, usize)> {
 }
 
 // ---------------------------------------------------------------------
-// Per-class calibration: measured class ns vs predicted class cycles.
-// ---------------------------------------------------------------------
-
-/// Ratio band for the per-class join, the same spread allowance as the
-/// per-kernel [`WALL_BAND`]: a class's measured ns-per-predicted-cycle
-/// may differ from the median class row by this factor in either
-/// direction before the model's weight for that class counts as
-/// mispredicted on that kernel.
-pub const CLASS_BAND: f64 = 8.0;
-
-/// One per-opcode-class row joining the measured native time attribution
-/// against the cost model's predicted cycles for the same class.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassCalibration {
-    /// Kernel name.
-    pub kernel: String,
-    /// Pipeline label.
-    pub mode: String,
-    /// Opcode class.
-    pub class: OpClass,
-    /// Measured native nanoseconds attributed to the class.
-    pub ns: u64,
-    /// The model's predicted (simulated) cycles for the class.
-    pub predicted_cycles: u64,
-    /// Measured nanoseconds per predicted cycle.
-    pub ns_per_cycle: f64,
-    /// Relative to the median row across all kernels/modes/classes.
-    pub vs_median: f64,
-    /// Outside the [`CLASS_BAND`] around the median: the model
-    /// mis-weights this class on this kernel.
-    pub outlier: bool,
-}
-
-/// Joins every measured `class_ns` split of the report against the
-/// interpreter's per-class simulated cycles. Classes with no measured
-/// time or no predicted cycles are skipped (nothing to compare). Empty
-/// on hosts without the native backend.
-pub fn calibrate_class(report: &DynReport) -> Vec<ClassCalibration> {
-    let mut rows = Vec::new();
-    for k in &report.kernels {
-        for m in &k.modes {
-            let Some(ns) = m.class_ns else { continue };
-            for c in OpClass::ALL {
-                let (t, cycles) = (ns[c.index()], m.profile.cycles[c.index()]);
-                if t == 0 || cycles == 0 {
-                    continue;
-                }
-                rows.push(ClassCalibration {
-                    kernel: k.name.clone(),
-                    mode: m.label.clone(),
-                    class: c,
-                    ns: t,
-                    predicted_cycles: cycles,
-                    ns_per_cycle: t as f64 / cycles as f64,
-                    vs_median: 1.0,
-                    outlier: false,
-                });
-            }
-        }
-    }
-    if rows.is_empty() {
-        return rows;
-    }
-    let mut npc: Vec<f64> = rows.iter().map(|r| r.ns_per_cycle).collect();
-    npc.sort_by(f64::total_cmp);
-    let median = npc[npc.len() / 2];
-    for r in &mut rows {
-        r.vs_median = r.ns_per_cycle / median;
-        r.outlier = !(1.0 / CLASS_BAND..=CLASS_BAND).contains(&r.vs_median);
-    }
-    rows
-}
-
-/// Builds one `cost-misprediction` remark per out-of-band per-class row
-/// and emits each through the trace sink. The per-class axis is
-/// advisory (it never fails [`check_dyn`]) but its drift is visible in
-/// the remark stream instead of silent.
-pub fn class_misprediction_remarks(rows: &[ClassCalibration]) -> Vec<Remark> {
-    rows.iter()
-        .filter(|c| c.outlier)
-        .map(|c| {
-            let remark = Remark {
-                pass: c.mode.clone(),
-                function: format!("@{}", c.kernel),
-                block: "-".to_string(),
-                site: "-".to_string(),
-                inst: 0,
-                decision: snslp_trace::DecisionId::new(&c.kernel, "-", 0, 0),
-                seed_kind: "calibration".to_string(),
-                width: 0,
-                vectorized: true,
-                reason: ReasonCode::CostMisprediction,
-                cost: Some(c.predicted_cycles as i64),
-                detail: format!(
-                    "class={} measured={}ns predicted={}cyc vs_median={:.2}",
-                    c.class.name(),
-                    c.ns,
-                    c.predicted_cycles,
-                    c.vs_median
-                ),
-            };
-            remark.emit();
-            remark
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
 // Rendering.
 // ---------------------------------------------------------------------
 
@@ -627,51 +519,6 @@ impl DynReport {
                 );
             }
         }
-        s
-    }
-
-    /// The per-opcode-class calibration table: measured native time per
-    /// class (from instrumented hotness) joined against the model's
-    /// predicted cycles for the same class, with out-of-band rows
-    /// flagged. Advisory — drift surfaces as `cost-misprediction`
-    /// remarks, not gate failures.
-    pub fn class_table(&self) -> String {
-        let rows = calibrate_class(self);
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "{:<18} {:<6} {:<8} {:>10} {:>12} {:>8} {:>9}  verdict",
-            "kernel", "mode", "class", "meas ns", "pred cycles", "ns/cyc", "vs median"
-        );
-        if rows.is_empty() {
-            let _ = writeln!(
-                s,
-                "(no native backend on this host: class axis not measured)"
-            );
-            return s;
-        }
-        for r in &rows {
-            let _ = writeln!(
-                s,
-                "{:<18} {:<6} {:<8} {:>10} {:>12} {:>8.3} {:>9.2}  {}",
-                r.kernel,
-                r.mode,
-                r.class.name(),
-                r.ns,
-                r.predicted_cycles,
-                r.ns_per_cycle,
-                r.vs_median,
-                if r.outlier { "OUTLIER" } else { "ok" },
-            );
-        }
-        let outliers = rows.iter().filter(|r| r.outlier).count();
-        let _ = writeln!(
-            s,
-            "{} class rows, {} out of band ({:.1}x around the median)",
-            rows.len(),
-            outliers,
-            CLASS_BAND
-        );
         s
     }
 
@@ -1065,8 +912,8 @@ mod tests {
     fn class_axis_round_trips_and_calibrates() {
         let mut r = one_kernel_report("motiv_leaf");
         // Force a deterministic split proportional to predicted class
-        // cycles: uniform ns-per-cycle, so every row is in band. The
-        // walls keep snslp measurably faster than o3 for the wall gate.
+        // cycles. The walls keep snslp measurably faster than o3 for the
+        // wall gate.
         let walls = [10_000u64, 9_000, 9_000, 5_000];
         for (m, wall) in r.kernels[0].modes.iter_mut().zip(walls) {
             m.wall_ns = Some(wall);
@@ -1080,14 +927,6 @@ mod tests {
         let back = DynReport::from_json(&r.to_json()).unwrap();
         assert_eq!(r, back, "class_ns must survive the JSON round trip");
 
-        let rows = calibrate_class(&r);
-        assert!(!rows.is_empty());
-        assert!(rows.iter().all(|c| !c.outlier), "{rows:?}");
-        assert!(class_misprediction_remarks(&rows).is_empty());
-        assert!(r.class_table().contains("class rows"));
-
-        // An absurdly expensive class trips the band and produces a
-        // cost-misprediction remark.
         let mut skewed = r.clone();
         let m = &mut skewed.kernels[0].modes[0];
         let mut ns = m.class_ns.unwrap();
@@ -1101,12 +940,6 @@ mod tests {
         ns = [0; 5];
         ns[hot] = wall;
         m.class_ns = Some(ns);
-        let rows = calibrate_class(&skewed);
-        assert!(rows.iter().any(|c| c.outlier), "{rows:?}");
-        let remarks = class_misprediction_remarks(&rows);
-        assert!(!remarks.is_empty());
-        assert_eq!(remarks[0].reason, ReasonCode::CostMisprediction);
-        assert!(remarks[0].detail.contains("class="));
         // The class axis is advisory: the gate stays green.
         assert!(check_dyn(&skewed, &skewed).is_ok());
 

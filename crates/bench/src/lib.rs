@@ -18,7 +18,6 @@ pub mod hot;
 pub mod json;
 pub mod report;
 pub mod servebench;
-pub mod stats;
 pub mod tracecheck;
 
 use std::time::{Duration, Instant};
@@ -26,7 +25,7 @@ use std::time::{Duration, Instant};
 use snslp_core::{optimize_o3, run_slp, FunctionReport, SlpConfig, SlpMode};
 use snslp_cost::CostModel;
 use snslp_interp::{run_with_args, ArgSpec, DynProfile, ExecOptions};
-use snslp_ir::Function;
+use snslp_ir::{Function, Module};
 use snslp_kernels::{Benchmark, Kernel};
 use snslp_trace::{Counter, MetricsSnapshot};
 
@@ -142,6 +141,16 @@ pub fn native_wall_ns(f: &Function, args: &[ArgSpec]) -> Option<u64> {
         best = Some(best.map_or(ns, |b| b.min(ns)));
     }
     best
+}
+
+/// One module holding the scalar IR of every registry kernel — the corpus
+/// `snslp-bench stats emit-corpus` writes for `snslpc`-based smoke runs.
+pub fn kernel_corpus_module() -> Module {
+    let mut module = Module::new("kernel_corpus");
+    for kernel in snslp_kernels::registry() {
+        module.add_function(kernel.build());
+    }
+    module
 }
 
 /// Compiles `f` under `mode` (in place) and returns the pass report and

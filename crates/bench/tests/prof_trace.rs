@@ -1,16 +1,13 @@
 //! Integration tests over the kernel corpus: the profiler's Chrome-trace
 //! export must validate, show one track per parallel worker and cover the
-//! pipeline with distinct span names; the stats pipeline must round-trip
-//! and surface an injected regression.
+//! pipeline with distinct span names.
 //!
 //! The Prof facet, track store and thread buffers are process-global, so
 //! the profiling tests serialize on one lock and restore the facet mask.
-//! The stats tests take the same lock, so no other corpus run competes
-//! for the host while they time the pipeline stages.
 
 use std::sync::Mutex;
 
-use snslp_bench::stats::{collect_kernel_stats, diff, kernel_corpus_module, DiffGates};
+use snslp_bench::kernel_corpus_module;
 use snslp_bench::tracecheck::validate_chrome_trace;
 use snslp_core::{run_slp_module_with_threads, SlpConfig, SlpMode};
 use snslp_trace::{prof, Facet};
@@ -87,66 +84,4 @@ fn parallel_profile_has_one_track_per_worker() {
         .chain((0..WORKERS).map(|w| format!("worker-{w}")))
         .collect();
     assert_eq!(labels, expected, "one named track per worker plus main");
-}
-
-#[test]
-fn corpus_stats_round_trip_and_self_diff_is_clean() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let base = collect_kernel_stats(SlpMode::SnSlp);
-    assert!(!base.functions.is_empty());
-
-    let parsed = snslp_bench::stats::StatsReport::from_json(&base.to_json())
-        .expect("stats JSON round-trips");
-    assert_eq!(parsed.mode, base.mode);
-    assert_eq!(parsed.functions.len(), base.functions.len());
-
-    // A second run of the same corpus must diff clean: all deterministic
-    // values identical, stage-time jitter below the gates.
-    let again = collect_kernel_stats(SlpMode::SnSlp);
-    let d = diff(&base, &again, DiffGates::default());
-    assert!(
-        !d.has_regressions(),
-        "self-diff regressed:\n{}",
-        d.render(10)
-    );
-}
-
-#[test]
-fn injected_regression_is_surfaced_and_ranked_first() {
-    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let base = collect_kernel_stats(SlpMode::SnSlp);
-    let mut broken = base.clone();
-
-    // Simulate disabling the look-ahead cache in one function: every hit
-    // becomes a miss. Deterministic counters, so the diff must flag it.
-    let victim = broken
-        .functions
-        .iter_mut()
-        .find(|f| {
-            f.counters
-                .iter()
-                .any(|(name, v)| name == "lookahead_cache_hits" && *v > 0)
-        })
-        .expect("some kernel exercises the look-ahead cache");
-    let key = victim.key();
-    let mut hits = 0;
-    for (name, v) in &mut victim.counters {
-        if name == "lookahead_cache_hits" {
-            hits = *v;
-            *v = 0;
-        }
-    }
-    for (name, v) in &mut victim.counters {
-        if name == "lookahead_cache_misses" {
-            *v += hits;
-        }
-    }
-
-    let d = diff(&base, &broken, DiffGates::default());
-    assert!(d.has_regressions());
-    let top = &d.counter_deltas[0];
-    assert_eq!(top.key, key, "victim ranked first:\n{}", d.render(10));
-    assert!(top.name.starts_with("lookahead_cache_"));
-    let rendered = d.render(10);
-    assert!(rendered.contains("lookahead_cache_hits"), "{rendered}");
 }

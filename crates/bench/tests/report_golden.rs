@@ -15,7 +15,8 @@ use std::sync::Mutex;
 
 use snslp_bench::attrib::{attrib_kernel, diff, render_html, AttribReport};
 use snslp_core::{SlpConfig, SlpMode};
-use snslp_kernels::kernel_by_name;
+use snslp_kernels::{kernel_by_name, registry};
+use snslp_trace::Counter;
 
 /// The virtual clock, the trace facet mask, and the profiler store are
 /// process-global; every test in this binary serializes on this lock.
@@ -90,6 +91,65 @@ fn html_is_byte_identical_across_repeated_runs() {
     assert_eq!(a.to_json(), b.to_json());
     // And the JSON document round-trips through the strict reader.
     assert_eq!(AttribReport::from_json(&a.to_json()).unwrap(), a);
+}
+
+/// The whole kernel registry under the virtual clock. Caller holds
+/// [`LOCK`].
+fn registry_under_virtual_clock() -> AttribReport {
+    let names: Vec<&str> = registry().iter().map(|k| k.name).collect();
+    attrib_under_virtual_clock(&names, &SlpConfig::new(SlpMode::SnSlp))
+}
+
+#[test]
+fn independent_registry_collects_diff_clean() {
+    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let base = registry_under_virtual_clock();
+    assert_eq!(base.functions.len(), registry().len());
+    assert!(
+        base.functions
+            .iter()
+            .any(|f| f.counters.iter().any(|&c| c > 0)),
+        "the counters are collected"
+    );
+    // A second, independent collect matches in every decision and
+    // counter, and its stage times sit inside the gates. Under the
+    // virtual clock wall-clock noise cannot fail this.
+    let again = registry_under_virtual_clock();
+    assert_eq!(AttribReport::from_json(&base.to_json()).unwrap(), base);
+    let d = diff(&base, &again);
+    assert!(d.is_clean(), "self-diff regressed:\n{}", d.render(10));
+}
+
+#[test]
+fn injected_counter_regression_is_surfaced_and_ranked_first() {
+    let _lock = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let base = registry_under_virtual_clock();
+    let mut broken = base.clone();
+    // Simulate disabling the look-ahead cache in one function: every hit
+    // becomes a miss. Counters are deterministic, so the diff must flag it.
+    let (hits, misses) = (
+        Counter::LookaheadCacheHits as usize,
+        Counter::LookaheadCacheMisses as usize,
+    );
+    let victim = broken
+        .functions
+        .iter_mut()
+        .find(|f| f.counters[hits] > 0)
+        .expect("some kernel exercises the look-ahead cache");
+    victim.counters[misses] += victim.counters[hits];
+    victim.counters[hits] = 0;
+    let key = victim.key();
+
+    let d = diff(&base, &broken);
+    let rendered = d.render(10);
+    assert!(d.changed.is_empty() && d.stage_regressions.is_empty());
+    let top = &d.counter_deltas[0];
+    assert_eq!(top.key, key, "victim ranked first:\n{rendered}");
+    assert_eq!(top.name, "lookahead_cache_hits");
+    assert!(
+        rendered.contains(&format!("1. {key} lookahead_cache_hits")),
+        "{rendered}"
+    );
 }
 
 #[test]

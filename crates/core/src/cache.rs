@@ -19,8 +19,9 @@
 //! (so per-request metric deltas attribute cache behaviour to the thread
 //! that did the lookup).
 
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use snslp_ir::{stable_function_hash, Function, FxHashMap, Module};
@@ -87,11 +88,81 @@ impl CacheStats {
     }
 }
 
-#[derive(Debug, Default)]
-struct CacheInner {
-    /// Key → (last-touched tick, artifact).
-    map: FxHashMap<CacheKey, (u64, Arc<CachedCompile>)>,
+/// A thread-safe least-recently-used map of `Arc`-shared values over a
+/// fixed entry budget, the eviction policy of both serve-layer caches
+/// ([`ArtifactCache`] and `snslpd`'s whole-request memo).
+///
+/// Every `get` and every `insert` stamps its entry with a fresh tick;
+/// eviction removes the entry with the oldest tick. Ticks are unique, so
+/// the eviction order is a function of the access sequence alone. The
+/// interior mutex is held only for map operations.
+#[derive(Debug)]
+pub struct Lru<K, V> {
+    inner: Mutex<LruInner<K, V>>,
+    capacity: usize,
+}
+
+#[derive(Debug)]
+struct LruInner<K, V> {
+    /// Key → (last-touched tick, value).
+    map: FxHashMap<K, (u64, Arc<V>)>,
     tick: u64,
+}
+
+impl<K: Copy + Eq + Hash, V> Lru<K, V> {
+    /// Creates a map holding at most `capacity` entries (minimum 1).
+    pub fn new(capacity: usize) -> Lru<K, V> {
+        Lru {
+            inner: Mutex::new(LruInner {
+                map: FxHashMap::default(),
+                tick: 0,
+            }),
+            capacity: capacity.max(1),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, LruInner<K, V>> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Looks up `key`, refreshing its LRU position.
+    pub fn get(&self, key: &K) -> Option<Arc<V>> {
+        let mut inner = self.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        let (touched, value) = inner.map.get_mut(key)?;
+        *touched = tick;
+        Some(value.clone())
+    }
+
+    /// Inserts (or replaces) `value` under `key`, then evicts the least
+    /// recently used entries while over capacity. Returns how many
+    /// entries it evicted.
+    pub fn insert(&self, key: K, value: Arc<V>) -> u64 {
+        let mut inner = self.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        inner.map.insert(key, (tick, value));
+        let mut evicted = 0;
+        while inner.map.len() > self.capacity {
+            let Some(oldest) = inner
+                .map
+                .iter()
+                .min_by_key(|(_, (touched, _))| *touched)
+                .map(|(k, _)| *k)
+            else {
+                break;
+            };
+            inner.map.remove(&oldest);
+            evicted += 1;
+        }
+        evicted
+    }
+
+    /// Entries currently resident.
+    pub fn entries(&self) -> usize {
+        self.lock().map.len()
+    }
 }
 
 /// Thread-safe LRU cache of compile artifacts, shared by every worker of
@@ -102,8 +173,7 @@ struct CacheInner {
 /// across a compile.
 #[derive(Debug)]
 pub struct ArtifactCache {
-    inner: Mutex<CacheInner>,
-    capacity: usize,
+    lru: Lru<CacheKey, CachedCompile>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -113,8 +183,7 @@ impl ArtifactCache {
     /// Creates a cache holding at most `capacity` artifacts (minimum 1).
     pub fn new(capacity: usize) -> ArtifactCache {
         ArtifactCache {
-            inner: Mutex::new(CacheInner::default()),
-            capacity: capacity.max(1),
+            lru: Lru::new(capacity),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -124,25 +193,15 @@ impl ArtifactCache {
     /// Looks up an artifact, refreshing its LRU position. Counts a hit or
     /// a miss on both the cache and the calling thread's metrics registry.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<CachedCompile>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some((touched, artifact)) => {
-                *touched = tick;
-                let artifact = artifact.clone();
-                drop(inner);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                bump(Counter::ArtifactCacheHits);
-                Some(artifact)
-            }
-            None => {
-                drop(inner);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                bump(Counter::ArtifactCacheMisses);
-                None
-            }
+        let artifact = self.lru.get(key);
+        if artifact.is_some() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            bump(Counter::ArtifactCacheHits);
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            bump(Counter::ArtifactCacheMisses);
         }
+        artifact
     }
 
     /// Records `n` function lookups answered *upstream* of this cache
@@ -161,38 +220,18 @@ impl ArtifactCache {
     /// Inserts (or replaces) an artifact, evicting the least-recently
     /// used entries if over capacity.
     pub fn insert(&self, key: CacheKey, artifact: Arc<CachedCompile>) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.insert(key, (tick, artifact));
-        while inner.map.len() > self.capacity {
-            let Some(oldest) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (touched, _))| *touched)
-                .map(|(k, _)| *k)
-            else {
-                break;
-            };
-            inner.map.remove(&oldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            bump(Counter::ArtifactCacheEvictions);
-        }
+        let evicted = self.lru.insert(key, artifact);
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        snslp_trace::add(Counter::ArtifactCacheEvictions, evicted);
     }
 
     /// Current statistics.
     pub fn stats(&self) -> CacheStats {
-        let entries = self
-            .inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .map
-            .len();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries,
+            entries: self.lru.entries(),
         }
     }
 }

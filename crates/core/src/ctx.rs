@@ -18,10 +18,11 @@
 //!   index, answering in O(log n + k) for k memory ops in the range
 //!   instead of rescanning every memory op of the block.
 //!
-//! The scan-based implementations survive as `*_scan` methods: they are
-//! the reference semantics (property tests assert the indexed answers
-//! match them on every fixture and on generated cases) and the fallback
-//! for IR that is not def-before-use ordered within the block.
+//! The scan-based dependence query survives as
+//! [`BlockCtx::depends_on_scan`]: it is the fallback for IR that is not
+//! def-before-use ordered within the block, and the reference the
+//! property tests compare the bitset against. The aliasing queries'
+//! linear-scan references live with those tests.
 
 use snslp_ir::analysis::{may_alias, MemLoc};
 use snslp_ir::{BlockId, Function, InstId, InstKind};
@@ -321,37 +322,6 @@ impl BlockCtx {
             .any(|m| !exclude.contains(&m.id) && may_alias(f, loc, &m.loc))
     }
 
-    /// Reference implementation of [`BlockCtx::aliasing_store_within`]:
-    /// a linear scan over every memory op of the block.
-    pub fn aliasing_store_within_scan(
-        &self,
-        f: &Function,
-        lo: usize,
-        hi: usize,
-        loc: &MemLoc,
-    ) -> bool {
-        self.mem_ops.iter().any(|m| {
-            let p = m.pos as usize;
-            m.is_store && p > lo && p < hi && may_alias(f, loc, &m.loc)
-        })
-    }
-
-    /// Reference implementation of [`BlockCtx::aliasing_mem_within`]: a
-    /// linear scan over every memory op of the block.
-    pub fn aliasing_mem_within_scan(
-        &self,
-        f: &Function,
-        lo: usize,
-        hi: usize,
-        loc: &MemLoc,
-        exclude: &[InstId],
-    ) -> bool {
-        self.mem_ops.iter().any(|m| {
-            let p = m.pos as usize;
-            !exclude.contains(&m.id) && p > lo && p < hi && may_alias(f, loc, &m.loc)
-        })
-    }
-
     /// The position span `(min, max)` of a bundle of block instructions.
     ///
     /// # Panics
@@ -374,6 +344,37 @@ impl BlockCtx {
 mod tests {
     use super::*;
     use snslp_ir::{FunctionBuilder, Param, ScalarType, Type};
+
+    /// Reference for [`BlockCtx::aliasing_store_within`]: a linear scan
+    /// over every memory op of the block.
+    fn aliasing_store_within_scan(
+        ctx: &BlockCtx,
+        f: &Function,
+        lo: usize,
+        hi: usize,
+        loc: &MemLoc,
+    ) -> bool {
+        ctx.mem_ops.iter().any(|m| {
+            let p = m.pos as usize;
+            m.is_store && p > lo && p < hi && may_alias(f, loc, &m.loc)
+        })
+    }
+
+    /// Reference for [`BlockCtx::aliasing_mem_within`]: a linear scan over
+    /// every memory op of the block.
+    fn aliasing_mem_within_scan(
+        ctx: &BlockCtx,
+        f: &Function,
+        lo: usize,
+        hi: usize,
+        loc: &MemLoc,
+        exclude: &[InstId],
+    ) -> bool {
+        ctx.mem_ops.iter().any(|m| {
+            let p = m.pos as usize;
+            !exclude.contains(&m.id) && p > lo && p < hi && may_alias(f, loc, &m.loc)
+        })
+    }
 
     #[test]
     fn depends_on_tracks_transitive_deps() {
@@ -453,14 +454,14 @@ mod tests {
         assert!(ctx.aliasing_store_within(&f, lo, hi, &loc1));
         assert_eq!(
             ctx.aliasing_store_within(&f, lo, hi, &loc1),
-            ctx.aliasing_store_within_scan(&f, lo, hi, &loc1)
+            aliasing_store_within_scan(&ctx, &f, lo, hi, &loc1)
         );
         // The first load's location (a[0]) is not touched by the store.
         let loc0 = *ctx.memloc(l0).unwrap();
         assert!(!ctx.aliasing_store_within(&f, lo, hi, &loc0));
         assert_eq!(
             ctx.aliasing_store_within(&f, lo, hi, &loc0),
-            ctx.aliasing_store_within_scan(&f, lo, hi, &loc0)
+            aliasing_store_within_scan(&ctx, &f, lo, hi, &loc0)
         );
     }
 
@@ -489,12 +490,12 @@ mod tests {
                 for loc in &locs {
                     assert_eq!(
                         ctx.aliasing_store_within(&f, lo, hi, loc),
-                        ctx.aliasing_store_within_scan(&f, lo, hi, loc),
+                        aliasing_store_within_scan(&ctx, &f, lo, hi, loc),
                         "store query ({lo}, {hi})"
                     );
                     assert_eq!(
                         ctx.aliasing_mem_within(&f, lo, hi, loc, &ids[..2]),
-                        ctx.aliasing_mem_within_scan(&f, lo, hi, loc, &ids[..2]),
+                        aliasing_mem_within_scan(&ctx, &f, lo, hi, loc, &ids[..2]),
                         "mem query ({lo}, {hi})"
                     );
                 }

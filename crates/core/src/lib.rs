@@ -62,7 +62,7 @@ pub mod score_cache;
 pub mod seeds;
 pub mod supernode;
 
-pub use cache::{run_slp_module_cached, ArtifactCache, CacheKey, CacheStats, CachedCompile};
+pub use cache::{run_slp_module_cached, ArtifactCache, CacheKey, CacheStats, CachedCompile, Lru};
 pub use chain::{extract_chain, LaneChain, LaneLeaf, Sign};
 pub use codegen::CodegenError;
 pub use config::{SlpConfig, SlpMode};

@@ -14,8 +14,8 @@
 //! * bitset [`BlockCtx::depends_on`] vs the DFS
 //!   [`BlockCtx::depends_on_scan`];
 //! * interval-indexed [`BlockCtx::aliasing_store_within`] /
-//!   [`BlockCtx::aliasing_mem_within`] vs their linear `_scan` twins over
-//!   `(lo, hi)` position windows.
+//!   [`BlockCtx::aliasing_mem_within`] vs the linear scans below, built
+//!   from public API only, over `(lo, hi)` position windows.
 //!
 //! The small fixtures are swept exhaustively. Generated blocks can reach
 //! several hundred instructions, where exhaustive pair × window × depth
@@ -27,8 +27,8 @@ use snslp_core::ctx::BlockCtx;
 use snslp_core::lookahead::{score_pair, score_pair_with};
 use snslp_core::LruScoreCache;
 use snslp_fuzz::generate;
-use snslp_ir::analysis::MemLoc;
-use snslp_ir::{parse_function_str, Function};
+use snslp_ir::analysis::{may_alias, MemLoc};
+use snslp_ir::{parse_function_str, Function, InstId, InstKind};
 
 const FUZZ_SEED: u64 = 0x9E9E;
 const FUZZ_CASES: u64 = 1000;
@@ -48,6 +48,46 @@ fn sample<T: Copy>(items: &[T], cap: usize) -> Vec<T> {
     }
     let stride = items.len().div_ceil(cap);
     items.iter().copied().step_by(stride).collect()
+}
+
+/// One memory op of a block as the linear-scan references see it:
+/// position, instruction and location.
+type MemOp = (usize, InstId, MemLoc);
+
+/// The block's memory ops in block order.
+fn mem_ops(ctx: &BlockCtx, f: &Function, insts: &[InstId]) -> Vec<MemOp> {
+    insts
+        .iter()
+        .filter_map(|&id| Some((ctx.pos_of(id)?, id, MemLoc::of_inst(f, id)?)))
+        .collect()
+}
+
+/// Reference for [`BlockCtx::aliasing_store_within`]: whether any store
+/// strictly inside `(lo, hi)` may alias `loc`.
+fn aliasing_store_within_scan(
+    f: &Function,
+    mem: &[MemOp],
+    lo: usize,
+    hi: usize,
+    loc: &MemLoc,
+) -> bool {
+    mem.iter().any(|&(p, id, m)| {
+        matches!(f.kind(id), InstKind::Store { .. }) && p > lo && p < hi && may_alias(f, loc, &m)
+    })
+}
+
+/// Reference for [`BlockCtx::aliasing_mem_within`]: whether any memory op
+/// not in `exclude` strictly inside `(lo, hi)` may alias `loc`.
+fn aliasing_mem_within_scan(
+    f: &Function,
+    mem: &[MemOp],
+    lo: usize,
+    hi: usize,
+    loc: &MemLoc,
+    exclude: &[InstId],
+) -> bool {
+    mem.iter()
+        .any(|&(p, id, m)| !exclude.contains(&id) && p > lo && p < hi && may_alias(f, loc, &m))
 }
 
 /// All checked-in `.snir` fixtures (the core filecheck corpus).
@@ -156,6 +196,7 @@ fn check_function(label: &str, f: &Function, exhaustive: bool) {
         .iter()
         .filter_map(|&id| MemLoc::of_inst(f, id))
         .collect();
+        let mem = mem_ops(&ctx, f, &insts);
         let n = insts.len();
         let windows: Vec<usize> = if exhaustive {
             (0..n).collect()
@@ -179,7 +220,7 @@ fn check_function(label: &str, f: &Function, exhaustive: bool) {
                 for &hi in windows.iter().filter(|&&hi| hi >= lo) {
                     assert_eq!(
                         ctx.aliasing_store_within(f, lo, hi, loc),
-                        ctx.aliasing_store_within_scan(f, lo, hi, loc),
+                        aliasing_store_within_scan(f, &mem, lo, hi, loc),
                         "{label}: aliasing_store_within({lo}, {hi}) diverged"
                     );
                     // Both with nothing excluded and with the block's
@@ -187,7 +228,7 @@ fn check_function(label: &str, f: &Function, exhaustive: bool) {
                     for exclude in [&mem_insts[..0], &mem_insts[..]] {
                         assert_eq!(
                             ctx.aliasing_mem_within(f, lo, hi, loc, exclude),
-                            ctx.aliasing_mem_within_scan(f, lo, hi, loc, exclude),
+                            aliasing_mem_within_scan(f, &mem, lo, hi, loc, exclude),
                             "{label}: aliasing_mem_within({lo}, {hi}) diverged"
                         );
                     }

@@ -796,11 +796,6 @@ impl InstKind {
         matches!(self, InstKind::Store { .. }) || self.is_terminator()
     }
 
-    /// Whether this instruction writes memory.
-    pub fn writes_memory(&self) -> bool {
-        matches!(self, InstKind::Store { .. })
-    }
-
     /// The successor blocks if this is a terminator.
     pub fn successors(&self) -> Vec<BlockId> {
         match self {
@@ -900,7 +895,6 @@ mod tests {
             value: InstId(4),
         };
         assert!(s.has_side_effects());
-        assert!(s.writes_memory());
 
         let br = InstKind::Branch {
             cond: InstId(0),

@@ -39,19 +39,9 @@ impl Module {
         &mut self.functions
     }
 
-    /// Consumes the module and returns its functions in order.
-    pub fn into_functions(self) -> Vec<Function> {
-        self.functions
-    }
-
     /// Finds a function by name.
     pub fn function(&self, name: &str) -> Option<&Function> {
         self.functions.iter().find(|f| f.name() == name)
-    }
-
-    /// Finds a function by name, mutably.
-    pub fn function_mut(&mut self, name: &str) -> Option<&mut Function> {
-        self.functions.iter_mut().find(|f| f.name() == name)
     }
 }
 
@@ -118,6 +108,5 @@ mod tests {
         let mut m: Module = vec![f.clone()].into_iter().collect();
         m.extend(vec![Function::new("y", vec![], Type::Void)]);
         assert_eq!(m.functions().len(), 2);
-        assert!(m.function_mut("y").is_some());
     }
 }

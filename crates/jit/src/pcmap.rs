@@ -98,23 +98,6 @@ impl PcMap {
         let i = self.ranges.partition_point(|r| r.end <= off);
         self.ranges.get(i).filter(|r| r.start <= off && off < r.end)
     }
-
-    /// Per-block opcode-class composition: `matrix[block][class.index()]`
-    /// counts the lowered instructions of that class in the block. With
-    /// the per-block execution counters of an instrumented run, the
-    /// per-class native execution totals are the matrix-vector product —
-    /// exact, because the fuel gate proves every non-phi instruction of
-    /// an entered block executes (a trapped activation stops mid-block
-    /// and is excluded from reconciliation).
-    pub fn class_matrix(&self, num_blocks: usize) -> Vec<[u64; OpClass::ALL.len()]> {
-        let mut m = vec![[0u64; OpClass::ALL.len()]; num_blocks];
-        for r in &self.ranges {
-            if let PcKind::Inst { class, block, .. } = r.kind {
-                m[block as usize][class.index()] += 1;
-            }
-        }
-        m
-    }
 }
 
 /// The partition rule every PC→IR map obeys, here and in the `snslp-hot`
@@ -214,34 +197,5 @@ mod tests {
         assert_eq!(hit.end, 9);
         assert!(m.resolve(9).is_none());
         assert!(m.resolve(100).is_none());
-    }
-
-    #[test]
-    fn class_matrix_counts_per_block() {
-        let mut m = PcMap::default();
-        m.push(
-            0,
-            4,
-            PcKind::Inst {
-                inst: 0,
-                class: OpClass::Memory,
-                block: 0,
-            },
-            None,
-        );
-        m.push(
-            4,
-            8,
-            PcKind::Inst {
-                inst: 1,
-                class: OpClass::Control,
-                block: 1,
-            },
-            None,
-        );
-        let mx = m.class_matrix(2);
-        assert_eq!(mx[0][OpClass::Memory.index()], 1);
-        assert_eq!(mx[1][OpClass::Control.index()], 1);
-        assert_eq!(mx[0][OpClass::Alu.index()], 0);
     }
 }

@@ -44,10 +44,12 @@ use std::time::Duration;
 
 use snslp_bench::attrib::{attrib_function, render_html, AttribReport};
 use snslp_bench::json::Json;
-use snslp_core::{run_slp_module_cached, ArtifactCache, CacheStats, FunctionReport, SlpConfig};
+use snslp_core::{
+    run_slp_module_cached, ArtifactCache, CacheStats, FunctionReport, Lru, SlpConfig,
+};
 use snslp_cost::CostModel;
 use snslp_interp::{module_inputs, run_with_args, ExecOptions};
-use snslp_ir::{parse_module, stable_text_hash, Function, FxHashMap, Module};
+use snslp_ir::{parse_module, stable_text_hash, Function, Module};
 use snslp_trace::serve::{EVENT_BUSY, EVENT_MEMO_HIT, SPAN_CONNECTION};
 use snslp_trace::{trace_event, Span};
 
@@ -101,12 +103,6 @@ struct Job {
     reply: mpsc::Sender<ReplyMsg>,
 }
 
-#[derive(Default)]
-struct Memo {
-    map: FxHashMap<u128, (u64, Arc<MemoEntry>)>,
-    tick: u64,
-}
-
 struct MemoEntry {
     body: String,
     num_functions: u64,
@@ -121,7 +117,8 @@ pub struct ServerState {
     inflight: AtomicUsize,
     stop: AtomicBool,
     cache: ArtifactCache,
-    memo: Mutex<Memo>,
+    /// Whole-request memo: memo key → rendered reply.
+    memo: Lru<u128, MemoEntry>,
     telemetry: Telemetry,
 }
 
@@ -142,7 +139,7 @@ impl ServerState {
             queue_cv: Condvar::new(),
             inflight: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
-            memo: Mutex::new(Memo::default()),
+            memo: Lru::new(cfg.memo_entries),
             telemetry: Telemetry::new(),
             cfg,
         }
@@ -193,33 +190,6 @@ impl ServerState {
             | (u128::from(compile.artifacts.dynstats) << 1)
             | (u128::from(compile.artifacts.hot) << 2);
         text_hash ^ (u128::from(fingerprint) << 64) ^ artifact_bits
-    }
-
-    fn memo_get(&self, key: u128) -> Option<Arc<MemoEntry>> {
-        let mut memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
-        memo.tick += 1;
-        let tick = memo.tick;
-        let (touched, entry) = memo.map.get_mut(&key)?;
-        *touched = tick;
-        Some(entry.clone())
-    }
-
-    fn memo_put(&self, key: u128, entry: MemoEntry) {
-        let mut memo = self.memo.lock().unwrap_or_else(|e| e.into_inner());
-        memo.tick += 1;
-        let tick = memo.tick;
-        memo.map.insert(key, (tick, Arc::new(entry)));
-        while memo.map.len() > self.cfg.memo_entries.max(1) {
-            let Some(oldest) = memo
-                .map
-                .iter()
-                .min_by_key(|(_, (touched, _))| *touched)
-                .map(|(k, _)| *k)
-            else {
-                break;
-            };
-            memo.map.remove(&oldest);
-        }
     }
 
     // -- request intake -----------------------------------------------
@@ -278,7 +248,7 @@ impl ServerState {
             cfg.fingerprint(),
             &compile,
         );
-        if let Some(entry) = self.memo_get(memo_key) {
+        if let Some(entry) = self.memo.get(&memo_key) {
             telem.memo = true;
             telem.class = ReplyClass::Ok;
             telem.mark(Stage::Compile);
@@ -399,12 +369,12 @@ impl ServerState {
         let body = match build_ok_body(&job, &reports) {
             Ok((body, native)) => {
                 job.telem.note_native(native.runs, native.ops);
-                self.memo_put(
+                self.memo.insert(
                     job.memo_key,
-                    MemoEntry {
+                    Arc::new(MemoEntry {
                         body: body.clone(),
                         num_functions: reports.len() as u64,
-                    },
+                    }),
                 );
                 job.telem.class = ReplyClass::Ok;
                 body

@@ -1,9 +1,9 @@
-//! Every strict artifact reader, checked side by side: the seven schemas
-//! that have a reader (`snslp-report/v1`, stats, dynstats, hot,
-//! compile-time, serve-bench and the `snslpd` telemetry snapshot).
+//! Every strict artifact reader, checked side by side: the six schemas
+//! that have a reader (`snslp-report/v1`, dynstats, hot, compile-time,
+//! serve-bench and the `snslpd` telemetry snapshot).
 //!
-//! * Same bytes: each checked-in artifact (and a freshly collected stats
-//!   and report document) reads and re-renders to exactly its own text.
+//! * Same bytes: each checked-in artifact (and a freshly collected
+//!   report document) reads and re-renders to exactly its own text.
 //! * One rule set: each reader rejects an unknown, missing or duplicate
 //!   member, and a count that is fractional, negative or above 2^53, and
 //!   the error names the member's path.
@@ -17,7 +17,6 @@ use snslp_bench::hot::HotDoc;
 use snslp_bench::json::Json;
 use snslp_bench::report::CompileTimeReport;
 use snslp_bench::servebench::ServeBenchReport;
-use snslp_bench::stats::{collect_kernel_stats, StatsReport};
 use snslp_core::{SlpConfig, SlpMode};
 use snslp_serve::TelemetrySnapshot;
 
@@ -39,34 +38,22 @@ fn repo_file(rel: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path:?}: {e}"))
 }
 
-/// Stats and report documents have no checked-in copy: collect them once
-/// per test binary (the report collection toggles the process-global
-/// profiler, so it must not run twice concurrently).
-fn fresh() -> &'static (String, String) {
-    static FRESH: OnceLock<(String, String)> = OnceLock::new();
-    FRESH.get_or_init(|| {
-        let cfg = SlpConfig::new(SlpMode::SnSlp);
-        (
-            collect_kernel_stats(SlpMode::SnSlp).to_json(),
-            collect_kernel_attrib(&cfg).to_json(),
-        )
-    })
+/// The report document has no checked-in copy: collect it once per test
+/// binary (the collection toggles the process-global profiler, so it
+/// must not run twice concurrently).
+fn fresh() -> &'static String {
+    static FRESH: OnceLock<String> = OnceLock::new();
+    FRESH.get_or_init(|| collect_kernel_attrib(&SlpConfig::new(SlpMode::SnSlp)).to_json())
 }
 
 fn artifacts() -> Vec<Artifact> {
-    let (stats, report) = fresh();
+    let report = fresh();
     vec![
         Artifact {
             name: "snslp-report/v1",
             text: report.clone(),
             count: "functions/0/decisions/0/width",
             read: |t| AttribReport::from_json(t).map(|r| r.to_json()),
-        },
-        Artifact {
-            name: "snslp-stats/v1",
-            text: stats.clone(),
-            count: "functions/0/graphs",
-            read: |t| StatsReport::from_json(t).map(|r| r.to_json()),
         },
         Artifact {
             name: "snslp-dynstats/v1",

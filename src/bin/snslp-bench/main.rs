@@ -1,7 +1,8 @@
 //! `snslp-bench` — regenerates and gates the paper's evaluation: Table I,
 //! Figs. 2–3 and 5–11, the checked-in `BENCH_*.json` trajectories, the
-//! pass-statistics and decision-attribution reports, and the `snslpd`
-//! load generator. Run `snslp-bench --help` for the commands.
+//! per-function compile report (decisions, pass counters, stage times)
+//! and its diff, and the `snslpd` load generator. Run `snslp-bench
+//! --help` for the commands.
 //!
 //! Every command shares one flag reader (`--flag V` or `--flag=V`) and one
 //! exit contract: `0` ok, `1` a gate or diff failed, `2` usage error, `3`
@@ -42,22 +43,21 @@ usage: snslp-bench <command> [args]
       (the default: every paper table/figure plus dyn)
   graphdump KERNEL [slp|lslp|snslp]... [--dot DIR] [--json]
       trace one registry kernel through the pass, every facet on
-  stats collect [--mode slp|lslp|snslp] [--out FILE] [FILE.snir...]
-      snslp-stats/v1 report over the files (default: the kernel registry)
-  stats diff BASE.json NEW.json [--top N]
-      exit 1 when NEW regresses against BASE
   stats validate-trace TRACE.json
       structural check of a profiler Chrome trace
   stats emit-corpus FILE.snir
       write the kernel registry as one .snir module
-  report collect [--mode slp|lslp|snslp] [--out FILE]
-      snslp-report/v1 decision attribution over the kernel registry
+  report collect [--mode slp|lslp|snslp] [--out FILE] [FILE.snir...]
+      snslp-report/v1 decision attribution, pass counters and stage
+      times over the files (default: the kernel registry)
   report html REPORT.json [--out FILE]
       render a report as the single-file HTML explorer
   report validate REPORT.json
       parse a report with the strict reader
   report diff BASE.json NEW.json [--top N]
-      root-cause two runs down to changed decisions; exit 1 on any change
+      root-cause two runs down to changed decisions, counter deltas,
+      functions in one run only and stage times past 2x and +500us;
+      exit 1 on any of them
   serve [--socket PATH | --spawn] [--clients N] [--requests N]
         [--functions N] [--seed N] [--mode M] [--target-isa T]
         [--out FILE] [--check]
@@ -248,8 +248,6 @@ fn run(argv: &[String]) -> Outcome {
         ("check", Some(("hot", r))) => check::hot(r),
         ("figures", _) => figures::run(rest),
         ("graphdump", _) => graphdump::run(rest),
-        ("stats", Some(("collect", r))) => stats::collect(r),
-        ("stats", Some(("diff", r))) => stats::diff(r),
         ("stats", Some(("validate-trace", r))) => stats::validate_trace(r),
         ("stats", Some(("emit-corpus", r))) => stats::emit_corpus(r),
         ("report", Some(("collect", r))) => report::collect(r),

@@ -1,10 +1,12 @@
 //! `snslp-bench report collect|html|validate|diff`: decision-attribution
-//! reports and regression root-causing.
+//! reports and regression root-causing, with counter and stage-time
+//! diffs.
 
 use snslp::bench::attrib::{
-    collect_kernel_attrib, diff as diff_reports, render_html, AttribReport,
+    attrib_module, collect_kernel_attrib, diff as diff_reports, render_html, AttribReport,
 };
 use snslp::core::{SlpConfig, SlpMode};
+use snslp::ir::parser::parse_module;
 
 use crate::{load, write_or_print, Args, Error, Outcome};
 
@@ -18,13 +20,30 @@ fn emit(args: &Args, payload: &str, what: &str) -> Outcome {
     Ok(())
 }
 
-/// `report collect`: the attribution pipeline over the kernel registry,
-/// as a `snslp-report/v1` document.
+/// `report collect [FILE.snir...]`: the attribution pipeline over the
+/// files (each file's unit is its stem) or, with none, over the kernel
+/// registry, as a `snslp-report/v1` document.
 pub fn collect(argv: &[String]) -> Outcome {
     let args = Args::parse(argv, &["--mode", "--out"], &[])?;
-    args.exactly::<0>("no positional arguments")?;
     let mode = args.parsed("--mode")?.unwrap_or(SlpMode::SnSlp);
-    let report = collect_kernel_attrib(&SlpConfig::new(mode));
+    let cfg = SlpConfig::new(mode);
+    let report = if args.positional.is_empty() {
+        collect_kernel_attrib(&cfg)
+    } else {
+        let mut functions = Vec::new();
+        for path in &args.positional {
+            let mut module = load(path, |s| parse_module(s).map_err(|e| e.to_string()))?;
+            let unit = std::path::Path::new(path)
+                .file_stem()
+                .map(|s| s.to_string_lossy().into_owned())
+                .unwrap_or_else(|| path.clone());
+            functions.extend(attrib_module(&unit, &mut module, &cfg));
+        }
+        AttribReport {
+            mode: mode.code().to_string(),
+            functions,
+        }
+    };
     eprintln!("snslp-report: {}", report.summary());
     emit(&args, &report.to_json(), "report")
 }
@@ -48,7 +67,8 @@ pub fn validate(argv: &[String]) -> Outcome {
 
 /// `report diff BASE NEW [--top N]`: root-causes the difference between
 /// two runs down to the decisions whose outcomes changed, ranked by
-/// cycle impact; exit 1 when any difference is found.
+/// cycle impact, plus counter deltas, functions in only one run and
+/// gated stage-time regressions; exit 1 when any difference is found.
 pub fn diff(argv: &[String]) -> Outcome {
     let args = Args::parse(argv, &["--top"], &[])?;
     let top_n = args.parsed("--top")?.unwrap_or(10);
@@ -66,6 +86,6 @@ pub fn diff(argv: &[String]) -> Outcome {
     if d.is_clean() {
         Ok(())
     } else {
-        Err(Error::failed("decisions changed"))
+        Err(Error::failed("the runs differ"))
     }
 }

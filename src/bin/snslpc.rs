@@ -7,8 +7,7 @@
 //! usage: snslpc [options] <file.snir | ->
 //!   --mode o3|slp|lslp|snslp   vectorizer (default snslp)
 //!   --target sse2|avx2|noaltop target description (default sse2)
-//!   --stats[=FILE]             per-function pass statistics to stderr,
-//!                              or a snslp-stats/v1 JSON report to FILE
+//!   --stats                    per-function pass statistics to stderr
 //!   --graphs                   print the full per-graph report to stderr
 //!   --report[=FILE]            write the single-file HTML vectorization
 //!                              explorer (default snslp-report.html):
@@ -71,7 +70,6 @@ use std::process::ExitCode;
 
 use snslp::bench::attrib::{attrib_function, render_html, AttribReport, DynSummary};
 use snslp::bench::dynstats::{DynReport, KernelDyn, ModeDyn};
-use snslp::bench::stats::StatsReport;
 use snslp::core::{optimize_o3, run_slp_module, FunctionReport, SlpConfig, SlpMode};
 use snslp::cost::{CostModel, TargetDesc};
 use snslp::interp::{module_inputs, run_with_args, ExecOptions};
@@ -81,7 +79,6 @@ struct Options {
     mode: Option<SlpMode>,
     target: TargetDesc,
     stats: bool,
-    stats_out: Option<String>,
     graphs: bool,
     report_out: Option<String>,
     profile_out: Option<String>,
@@ -102,7 +99,7 @@ struct Options {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: snslpc [--mode o3|slp|lslp|snslp] [--target sse2|avx2|noaltop] \
-         [--stats[=FILE]] [--graphs] [--report[=FILE]] [--profile[=FILE]] \
+         [--stats] [--graphs] [--report[=FILE]] [--profile[=FILE]] \
          [--profile-folded=FILE] \
          [--time-passes] [--no-reductions] [--verify] [--run[=ENTRY]] \
          [--backend interp|jit] [--dyn-profile[=FILE]] [--jit-strict] \
@@ -117,7 +114,6 @@ fn parse_args() -> Result<Options, ExitCode> {
         mode: Some(SlpMode::SnSlp),
         target: TargetDesc::sse2_like(),
         stats: false,
-        stats_out: None,
         graphs: false,
         report_out: None,
         profile_out: None,
@@ -177,9 +173,7 @@ fn parse_args() -> Result<Options, ExitCode> {
             "--perf-map" => opts.perf_map_dir = Some("/tmp".to_string()),
             "--help" | "-h" => return Err(usage()),
             arg => {
-                if let Some(path) = arg.strip_prefix("--stats=") {
-                    opts.stats_out = Some(path.to_string());
-                } else if let Some(path) = arg.strip_prefix("--report=") {
+                if let Some(path) = arg.strip_prefix("--report=") {
                     opts.report_out = Some(path.to_string());
                 } else if let Some(path) = arg.strip_prefix("--profile=") {
                     opts.profile_out = Some(path.to_string());
@@ -218,8 +212,8 @@ fn parse_args() -> Result<Options, ExitCode> {
     Ok(opts)
 }
 
-/// The compilation-unit name `--stats=FILE` and `--report` documents
-/// carry: the input's file stem, or `stdin`.
+/// The compilation-unit name `--report` documents carry: the input's
+/// file stem, or `stdin`.
 fn unit_name(input: &str) -> String {
     if input == "-" {
         return "stdin".to_string();
@@ -501,10 +495,6 @@ fn main() -> ExitCode {
                     eprintln!("@{}: O3 cleanup in {t:?}", f.name());
                 }
             }
-            if opts.stats_out.is_some() {
-                eprintln!("snslpc: --stats=FILE needs a vectorizer mode (not o3)");
-                return ExitCode::FAILURE;
-            }
             if opts.report_out.is_some() {
                 eprintln!("snslpc: --report needs a vectorizer mode (not o3)");
                 return ExitCode::FAILURE;
@@ -531,17 +521,6 @@ fn main() -> ExitCode {
                         report.aggregate_super_node_size(),
                         report.elapsed,
                     );
-                }
-            }
-            if let Some(path) = &opts.stats_out {
-                let unit = unit_name(&opts.input);
-                let stats = StatsReport::from_reports(
-                    mode.code(),
-                    reports.iter().map(|r| (unit.as_str(), r)),
-                );
-                if let Err(e) = std::fs::write(path, stats.to_json()) {
-                    eprintln!("snslpc: cannot write `{path}`: {e}");
-                    return ExitCode::FAILURE;
                 }
             }
             slp_reports = reports;

@@ -27,10 +27,12 @@ fn scratch(test: &str) -> PathBuf {
 
 #[test]
 fn usage_errors_exit_2() {
-    let cases: [&[&str]; 6] = [
+    let cases: [&[&str]; 8] = [
         &["nosuch"],
-        &["stats", "collect", "--bogus"],
-        &["stats", "collect", "--out"],
+        &["report", "collect", "--bogus"],
+        &["report", "collect", "--out"],
+        &["stats", "collect"],
+        &["stats", "diff"],
         &["figures", "nosuch"],
         &["figures", "--iters", "abc"],
         &["serve", "--socket"],
@@ -73,13 +75,13 @@ fn check_serve_passes_on_the_checked_in_baseline() {
 }
 
 #[test]
-fn stats_diff_is_clean_against_itself_and_fails_on_a_bumped_counter() {
-    let dir = scratch("stats");
+fn report_diff_is_clean_against_itself_and_fails_on_a_bumped_counter() {
+    let dir = scratch("report");
     let base = dir.join("base.json");
     let bumped = dir.join("bumped.json");
     let fixture = repo_path("crates/core/tests/snir/fig3_trunk_reorder.snir");
     let out = snslp_bench(&[
-        "stats",
+        "report",
         "collect",
         "--out",
         base.to_str().expect("UTF-8 path"),
@@ -99,7 +101,7 @@ fn stats_diff_is_clean_against_itself_and_fails_on_a_bumped_counter() {
 
     let diff = |new: &Path| {
         snslp_bench(&[
-            "stats",
+            "report",
             "diff",
             base.to_str().expect("UTF-8 path"),
             new.to_str().expect("UTF-8 path"),
@@ -117,6 +119,26 @@ fn stats_diff_is_clean_against_itself_and_fails_on_a_bumped_counter() {
     assert_eq!(changed.status.code(), Some(1), "{stdout}");
     assert!(stdout.contains("bundles_attempted"), "{stdout}");
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `snslpc --stats` prints to stderr only; the `--stats=FILE` document is
+/// gone, so the form with a value is a usage error.
+#[test]
+fn snslpc_stats_takes_no_file() {
+    let fixture = repo_path("crates/core/tests/snir/fig3_trunk_reorder.snir");
+    let fixture = fixture.to_str().expect("UTF-8 path");
+    let snslpc = |flag: &str| {
+        Command::new(env!("CARGO_BIN_EXE_snslpc"))
+            .args([flag, fixture])
+            .output()
+            .expect("snslpc runs")
+    };
+    let with_file = snslpc("--stats=x.json");
+    assert_eq!(with_file.status.code(), Some(2));
+    let plain = snslpc("--stats");
+    let stderr = String::from_utf8_lossy(&plain.stderr);
+    assert!(plain.status.success(), "{stderr}");
+    assert!(stderr.contains("vectorized"), "{stderr}");
 }
 
 /// The serve-bench report carries its seed as a JSON number, so the load
