@@ -469,21 +469,31 @@ mod tests {
     fn jit_axis_is_exercised_non_vacuously() {
         // The `jit` / `<mode>-jit` stages must not be permanently
         // NotCovered: on a native host, a healthy share of generated
-        // cases actually runs under both backends.
+        // cases actually runs under both backends. The fallback set is
+        // pinned too, before and after SN-SLP: a vector lowering that
+        // returned an error would otherwise fall back silently, so every
+        // declined function must be declined for its `fptosi`.
         if !snslp_jit::native_supported() {
             return;
         }
         let model = CostModel::default();
         let opts = ExecOptions::default();
-        let covered = (0..40)
-            .filter(|&i| {
-                let case = generate(0xFA22, i);
-                matches!(
-                    snslp_jit::check_backends(&case.function, &case.args, &model, &opts),
-                    Ok(snslp_jit::BackendDiff::Agreed)
-                )
-            })
-            .count();
+        let mut covered = 0usize;
+        for i in 0..40 {
+            let case = generate(0xFA22, i);
+            let mut vectorized = case.function.clone();
+            run_slp(&mut vectorized, &SlpConfig::new(SlpMode::SnSlp));
+            for f in [&case.function, &vectorized] {
+                match snslp_jit::check_backends(f, &case.args, &model, &opts) {
+                    Ok(snslp_jit::BackendDiff::Agreed) => covered += 1,
+                    Ok(snslp_jit::BackendDiff::NotCovered { reason }) => assert!(
+                        reason.contains("cast.fptosi"),
+                        "case {i} fell back for a reason other than fptosi: {reason}"
+                    ),
+                    Err(e) => panic!("case {i} diverged: {e}"),
+                }
+            }
+        }
         assert!(covered > 0, "no generated case was JIT-covered");
     }
 

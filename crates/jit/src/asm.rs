@@ -2,11 +2,12 @@
 //!
 //! Only the encodings the lowering actually emits are implemented: 64-bit
 //! GPR moves/ALU, `movsxd`, shifts by `cl`, `idiv`, `setcc`/`cmovcc`,
-//! scalar and packed SSE2 arithmetic, the `cvt*` conversions the cast
-//! semantics need, and rel32 control flow with label fixups. Memory
-//! operands always use the `[base + disp32]` form: one code path, no
-//! special-casing of short displacements, and the `rsp`/`r12` SIB and
-//! `rbp`/`r13` quirks are handled once in [`Asm::modrm_mem`].
+//! scalar and packed SSE2 arithmetic, compares and logic, the `cvt*`
+//! conversions the cast semantics need, and rel32 control flow with
+//! label fixups. Memory operands always use the `[base + disp32]` form:
+//! one code path, no special-casing of short displacements, and the
+//! `rsp`/`r12` SIB and `rbp`/`r13` quirks are handled once in
+//! [`Asm::modrm_mem`].
 
 /// General-purpose register numbers (hardware encoding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -428,6 +429,19 @@ impl Asm {
         self.byte(imm);
     }
 
+    /// `cmpps dst, src, pred` (`cmppd` with the `0x66` prefix): each lane
+    /// of `dst` becomes all ones where `dst <pred> src` holds, else zero.
+    pub fn cmpp(&mut self, prefix: &[u8], dst: Xmm, src: Xmm, pred: u8) {
+        self.op_rr(prefix, false, &[0x0F, 0xC2], dst.0, src.0);
+        self.byte(pred);
+    }
+
+    /// `psrld dst, imm`: logical right shift of each 32-bit lane.
+    pub fn psrld(&mut self, dst: Xmm, imm: u8) {
+        self.op_rr(&[0x66], false, &[0x0F, 0x72], 2, dst.0);
+        self.byte(imm);
+    }
+
     /// Scalar/packed SSE arithmetic, reg-reg: `prefix 0F op /r`.
     pub fn sse_rr(&mut self, prefix: &[u8], op: u8, dst: Xmm, src: Xmm) {
         self.op_rr(prefix, false, &[0x0F, op], dst.0, src.0);
@@ -561,6 +575,28 @@ mod tests {
         assert_eq!(
             enc(|a| a.pshufd(XMM7, XMM7, 0)),
             vec![0x66, 0x0F, 0x70, 0xFF, 0x00]
+        );
+        // cmpltps / cmplepd xmm0, xmm1
+        assert_eq!(
+            enc(|a| a.cmpp(&[], XMM0, XMM1, 1)),
+            vec![0x0F, 0xC2, 0xC1, 0x01]
+        );
+        assert_eq!(
+            enc(|a| a.cmpp(&[0x66], XMM0, XMM1, 2)),
+            vec![0x66, 0x0F, 0xC2, 0xC1, 0x02]
+        );
+        assert_eq!(
+            enc(|a| a.psrld(XMM0, 31)),
+            vec![0x66, 0x0F, 0x72, 0xD0, 0x1F]
+        );
+        // paddq xmm0, xmm1 and cvtdq2ps xmm0, xmm0 go through `sse_rr`.
+        assert_eq!(
+            enc(|a| a.sse_rr(&[0x66], 0xD4, XMM0, XMM1)),
+            vec![0x66, 0x0F, 0xD4, 0xC1]
+        );
+        assert_eq!(
+            enc(|a| a.sse_rr(&[], 0x5B, XMM0, XMM0)),
+            vec![0x0F, 0x5B, 0xC0]
         );
     }
 

@@ -999,6 +999,222 @@ mod tests {
         );
     }
 
+    /// A function over noalias pointers `a`, `b`, `c` and `out` that
+    /// stores each value `body` returns to its own 16-byte row of `out`,
+    /// so every result is observable in memory.
+    fn rows_fn(
+        name: &str,
+        body: impl FnOnce(&mut FunctionBuilder, [InstId; 3]) -> Vec<InstId>,
+    ) -> snslp_ir::Function {
+        let params = ["a", "b", "c", "out"].map(Param::noalias_ptr).to_vec();
+        let mut fb = FunctionBuilder::new(name, params, Type::Void);
+        let ins = [0, 1, 2].map(|i| fb.func().param(i));
+        let out = fb.func().param(3);
+        let vals = body(&mut fb, ins);
+        for (i, v) in vals.into_iter().enumerate() {
+            let q = fb.ptradd_const(out, 16 * i as i64);
+            fb.store(q, v);
+        }
+        fb.ret(None);
+        fb.finish()
+    }
+
+    /// Asserts that every dump line of each instruction in `insts`
+    /// (`binary.add i32x4`, `select f64x2`, ...) is the packed strategy.
+    fn assert_packed(f: &snslp_ir::Function, insts: &[String]) {
+        let c = compile(f).expect("lowers");
+        for inst in insts {
+            let lines: Vec<&str> = c
+                .dump()
+                .lines()
+                .filter(|l| l.contains(&format!(" {inst} = ")))
+                .collect();
+            assert!(!lines.is_empty(), "no `{inst}` line in\n{}", c.dump());
+            for line in lines {
+                assert!(line.contains(" = packed x"), "not packed: {line}");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_int_binops_wrap_like_the_interpreter() {
+        let ops = [BinOp::Add, BinOp::Sub, BinOp::And, BinOp::Or, BinOp::Xor];
+        for st in [ScalarType::I32, ScalarType::I64] {
+            let vt = VectorType::new(st, 16 / st.size_bytes() as u8);
+            let f = rows_fn("intvec", |fb, [a, b, _]| {
+                let (x, y) = (fb.load_vector(vt, a), fb.load_vector(vt, b));
+                ops.iter().map(|&op| fb.binary(op, x, y)).collect()
+            });
+            assert_packed(&f, &ops.map(|op| format!("binary.{op} {vt}")));
+            // Over the rotations every edge value meets every other one
+            // in some lane (of both i64x2 halves): MIN - 1, MAX + 1 and
+            // MIN - MAX wrap.
+            let vals = [i64::MIN, i64::MAX, -1, 0];
+            for (s, r) in (0..4).flat_map(|r| [(0, r), (2, r)]) {
+                let x: Vec<i64> = (0..4).map(|k| vals[(k + s) % 4]).collect();
+                let y: Vec<i64> = (0..4).map(|k| vals[(k + s + r) % 4]).collect();
+                let args = match st {
+                    ScalarType::I32 => {
+                        let narrow = |v: &[i64]| {
+                            v.iter()
+                                .map(|&n| n.clamp(i32::MIN.into(), i32::MAX.into()) as i32)
+                                .collect()
+                        };
+                        vec![
+                            ArgSpec::I32Array(narrow(&x)),
+                            ArgSpec::I32Array(narrow(&y)),
+                            ArgSpec::I32Array(vec![0; 4]),
+                            ArgSpec::I32Array(vec![0; 4 * ops.len()]),
+                        ]
+                    }
+                    _ => vec![
+                        ArgSpec::I64Array(x),
+                        ArgSpec::I64Array(y),
+                        ArgSpec::I64Array(vec![0; 2]),
+                        ArgSpec::I64Array(vec![0; 2 * ops.len()]),
+                    ],
+                };
+                assert_agree(&f, &args);
+            }
+        }
+    }
+
+    #[test]
+    fn packed_sitofp_rounds_like_the_interpreter() {
+        let vt = VectorType::new(ScalarType::I32, 4);
+        let f = rows_fn("cvt", |fb, [a, _, _]| {
+            let x = fb.load_vector(vt, a);
+            vec![fb.cast(CastKind::Sitofp, ScalarType::F32, x)]
+        });
+        assert_packed(&f, &["cast.sitofp i32x4->f32x4".to_string()]);
+        // ±(2^24 + 1) and the i32 extremes are not representable in f32
+        // and round to nearest-even.
+        let big = (1 << 24) + 1;
+        for lanes in [[0, -1, big, -big], [i32::MIN, i32::MAX, big + 2, 1]] {
+            assert_agree(
+                &f,
+                &[
+                    ArgSpec::I32Array(lanes.to_vec()),
+                    ArgSpec::I32Array(vec![0; 4]),
+                    ArgSpec::I32Array(vec![0; 4]),
+                    ArgSpec::F32Array(vec![0.0; 4]),
+                ],
+            );
+        }
+    }
+
+    #[test]
+    fn packed_float_cmp_matches_on_nan_zeros_and_infinities() {
+        let preds = [
+            CmpPred::Eq,
+            CmpPred::Ne,
+            CmpPred::Lt,
+            CmpPred::Le,
+            CmpPred::Gt,
+            CmpPred::Ge,
+        ];
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let pairs = [
+            (nan, 1.0),
+            (1.0, nan),
+            (nan, nan),
+            (0.0, -0.0),
+            (-0.0, 0.0),
+            (inf, -inf),
+            (-inf, inf),
+            (inf, inf),
+            (2.0, 2.0),
+            (1.0, 2.0),
+            (2.0, 1.0),
+            (-inf, -inf),
+        ];
+        for st in [ScalarType::F32, ScalarType::F64] {
+            let lanes = 16 / st.size_bytes() as usize;
+            let vt = VectorType::new(st, lanes as u8);
+            let f = rows_fn("fcmp", |fb, [a, b, _]| {
+                let (x, y) = (fb.load_vector(vt, a), fb.load_vector(vt, b));
+                preds.iter().map(|&p| fb.cmp(p, x, y)).collect()
+            });
+            assert_packed(&f, &preds.map(|p| format!("cmp.{p} {vt}")));
+            for chunk in pairs.chunks(lanes) {
+                let (x, y): (Vec<f64>, Vec<f64>) = chunk.iter().copied().unzip();
+                let out = ArgSpec::I32Array(vec![-7; 4 * preds.len()]);
+                let args = match st {
+                    ScalarType::F32 => {
+                        let narrow = |v: Vec<f64>| v.into_iter().map(|d| d as f32).collect();
+                        vec![
+                            ArgSpec::F32Array(narrow(x)),
+                            ArgSpec::F32Array(narrow(y)),
+                            ArgSpec::F32Array(vec![0.0; 4]),
+                            out,
+                        ]
+                    }
+                    _ => vec![
+                        ArgSpec::F64Array(x),
+                        ArgSpec::F64Array(y),
+                        ArgSpec::F64Array(vec![0.0; 2]),
+                        out,
+                    ],
+                };
+                assert_agree(&f, &args);
+            }
+        }
+    }
+
+    #[test]
+    fn packed_select_passes_arm_bits_through() {
+        // Every non-zero mask lane is true, not only 1.
+        let masks = [0, 1, -1, 2, i32::MIN, 0, 2, -1];
+        let payload_nan = f64::from_bits(0x7FF8_0000_0000_1234);
+        let arms = [payload_nan, -0.0, 1.5, -f64::NAN, 0.0, f64::INFINITY];
+        for st in [ScalarType::F32, ScalarType::F64, ScalarType::I64] {
+            let lanes = 16 / st.size_bytes() as usize;
+            let (vt, mt) = (
+                VectorType::new(st, lanes as u8),
+                VectorType::new(ScalarType::I32, lanes as u8),
+            );
+            let f = rows_fn("vsel", |fb, [m, t, e]| {
+                let mask = fb.load_vector(mt, m);
+                let (x, y) = (fb.load_vector(vt, t), fb.load_vector(vt, e));
+                vec![fb.select(mask, x, y), fb.select(mask, y, x)]
+            });
+            assert_packed(&f, &[format!("select {vt}")]);
+            for (i, mask) in masks.chunks(lanes).enumerate() {
+                let t: Vec<f64> = (0..lanes).map(|k| arms[(i + k) % arms.len()]).collect();
+                let e: Vec<f64> = (0..lanes).map(|k| arms[(i + k + 3) % arms.len()]).collect();
+                let mask = ArgSpec::I32Array(mask.to_vec());
+                let args = match st {
+                    ScalarType::F32 => {
+                        let narrow = |v: Vec<f64>| v.into_iter().map(|d| d as f32).collect();
+                        vec![
+                            mask,
+                            ArgSpec::F32Array(narrow(t)),
+                            ArgSpec::F32Array(narrow(e)),
+                            ArgSpec::F32Array(vec![0.0; 8]),
+                        ]
+                    }
+                    ScalarType::F64 => vec![
+                        mask,
+                        ArgSpec::F64Array(t),
+                        ArgSpec::F64Array(e),
+                        ArgSpec::F64Array(vec![0.0; 4]),
+                    ],
+                    _ => {
+                        let bits =
+                            |v: Vec<f64>| v.into_iter().map(|d| d.to_bits() as i64).collect();
+                        vec![
+                            mask,
+                            ArgSpec::I64Array(bits(t)),
+                            ArgSpec::I64Array(bits(e)),
+                            ArgSpec::I64Array(vec![0; 4]),
+                        ]
+                    }
+                };
+                assert_agree(&f, &args);
+            }
+        }
+    }
+
     #[test]
     fn lanewise_super_node_ops_match() {
         // BinaryLanewise with mixed add/sub is exactly what SN-SLP commits

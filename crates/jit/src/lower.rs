@@ -32,7 +32,8 @@ use std::collections::BTreeMap;
 
 use snslp_interp::classify;
 use snslp_ir::{
-    BinOp, BlockId, CastKind, CmpPred, Constant, Function, InstId, InstKind, ScalarType, Type, UnOp,
+    BinOp, BlockId, CastKind, CmpPred, Constant, Function, InstId, InstKind, ScalarType, Type,
+    UnOp, VectorType,
 };
 use snslp_trace::DecisionId;
 
@@ -133,6 +134,39 @@ fn mnemonic(kind: &InstKind) -> String {
         InstKind::Jump { .. } => "jump".to_string(),
         InstKind::Branch { .. } => "branch".to_string(),
         InstKind::Ret { .. } => "ret".to_string(),
+    }
+}
+
+/// The packed SSE2 instruction (`prefix 0F op`) that computes `op` on
+/// every lane of `elem` exactly as the interpreter does, if there is
+/// one. Integer lanes wrap, like the interpreter's widen, compute,
+/// truncate.
+fn packed_binop(op: BinOp, elem: ScalarType) -> Option<(&'static [u8], u8)> {
+    use ScalarType::{F32, F64, I32, I64};
+    let opc = match (elem, op) {
+        (F32 | F64, BinOp::Add) => 0x58,
+        (F32 | F64, BinOp::Sub) => 0x5C,
+        (F32 | F64, BinOp::Mul) => 0x59,
+        (F32 | F64, BinOp::Div) => 0x5E,
+        (I32, BinOp::Add) => 0xFE,       // paddd
+        (I32, BinOp::Sub) => 0xFA,       // psubd
+        (I64, BinOp::Add) => 0xD4,       // paddq
+        (I64, BinOp::Sub) => 0xFB,       // psubq
+        (I32 | I64, BinOp::And) => 0xDB, // pand
+        (I32 | I64, BinOp::Or) => 0xEB,  // por
+        (I32 | I64, BinOp::Xor) => 0xEF, // pxor
+        _ => return None,
+    };
+    Some((if elem == F32 { &[] } else { &[0x66] }, opc))
+}
+
+/// Dump text for a vector op lowered as `chunks` packed 16-byte chunks
+/// plus `tail` scalar lanes.
+fn vector_strategy(chunks: usize, tail: usize) -> String {
+    match (chunks, tail) {
+        (0, _) => format!("per-lane x{tail}"),
+        (_, 0) => format!("packed x{chunks}"),
+        _ => format!("packed x{chunks} + tail x{tail}"),
     }
 }
 
@@ -1019,11 +1053,11 @@ impl<'a> Lower<'a> {
                         format!("%{} cast.{kind} {from_ty}->{to_ty} = scalar", id.index())
                     }
                     (Type::Vector(fv), Type::Vector(tv)) => {
-                        let (fe, te) = (fv.elem.size_bytes() as i32, tv.elem.size_bytes() as i32);
-                        for i in 0..i32::from(fv.lanes) {
-                            self.scalar_cast(*kind, fv.elem, tv.elem, src + i * fe, dst + i * te)?;
-                        }
-                        format!("%{} cast.{kind} {from_ty}->{to_ty} = per-lane", id.index())
+                        let strategy = self.vector_cast(*kind, fv, tv, src, dst)?;
+                        format!(
+                            "%{} cast.{kind} {from_ty}->{to_ty} = {strategy}",
+                            id.index()
+                        )
                     }
                     _ => return Err(format!("cast {kind} between {from_ty} and {to_ty}")),
                 }
@@ -1033,17 +1067,8 @@ impl<'a> Lower<'a> {
                 let in_ty = f.ty(*lhs);
                 match in_ty {
                     Type::Vector(vt) => {
-                        let esz = vt.elem.size_bytes() as i32;
-                        for i in 0..i32::from(vt.lanes) {
-                            self.scalar_cmp(
-                                *pred,
-                                Type::Scalar(vt.elem),
-                                ad + i * esz,
-                                bd + i * esz,
-                                dst + i * 4,
-                            )?;
-                        }
-                        format!("%{} cmp.{pred} {in_ty} = per-lane", id.index())
+                        let strategy = self.vector_cmp(*pred, vt, ad, bd, dst)?;
+                        format!("%{} cmp.{pred} {in_ty} = {strategy}", id.index())
                     }
                     _ => {
                         self.scalar_cmp(*pred, in_ty, ad, bd, dst)?;
@@ -1064,25 +1089,9 @@ impl<'a> Lower<'a> {
                             .ty(id)
                             .as_vector()
                             .ok_or_else(|| "vector-mask select of scalar".to_string())?;
-                        let (msz, esz) = (mv.elem.size_bytes() as i32, vt.elem.size_bytes() as i32);
                         let md = self.slot(*cond);
-                        for i in 0..i32::from(vt.lanes) {
-                            match mv.elem {
-                                ScalarType::I32 => self.a.mov32_load(RCX, RSP, md + i * msz),
-                                ScalarType::I64 => self.a.mov_load(RCX, RSP, md + i * msz),
-                                st => return Err(format!("select mask of {st} lanes")),
-                            }
-                            self.a.test_rr(RCX, RCX);
-                            let l_else = self.a.new_label();
-                            let l_end = self.a.new_label();
-                            self.a.jcc(Cc::E, l_else);
-                            self.copy_frame(td + i * esz, dst + i * esz, esz as usize);
-                            self.a.jmp(l_end);
-                            self.a.bind(l_else);
-                            self.copy_frame(ed + i * esz, dst + i * esz, esz as usize);
-                            self.a.bind(l_end);
-                        }
-                        format!("%{} select {} = per-lane mask", id.index(), f.ty(id))
+                        let strategy = self.vector_select(mv, vt, md, td, ed, dst)?;
+                        format!("%{} select {} = {strategy}", id.index(), f.ty(id))
                     }
                     Type::Scalar(ScalarType::I32) | Type::Scalar(ScalarType::I64) => {
                         match f.ty(*cond) {
@@ -1326,12 +1335,13 @@ impl<'a> Lower<'a> {
     /// per-lane semantics) but accumulated in xmm registers and written
     /// as whole 16-byte chunks, so a downstream packed consumer never
     /// reloads a slot assembled from narrow stores. Uniform-operator
-    /// vectors delegate to the packed path; anything else (integer
-    /// lanes, min/max/rem lanes, odd widths) stays per-lane scalar.
+    /// vectors, integer ones included, delegate to
+    /// [`Self::vector_binop_uniform`]; mixed integer lanes, min/max/rem
+    /// lanes and odd widths stay per-lane scalar.
     fn vector_binop_lanewise(
         &mut self,
         ops: &[BinOp],
-        vt: snslp_ir::VectorType,
+        vt: VectorType,
         ad: i32,
         bd: i32,
         dst: i32,
@@ -1392,34 +1402,23 @@ impl<'a> Lower<'a> {
         Ok("mixed packed".to_string())
     }
 
-    /// Uniform binary op over a vector: packed SSE for float
-    /// add/sub/mul/div in 16-byte chunks, per-lane scalar otherwise.
+    /// Uniform binary op over a vector: one packed SSE2 instruction per
+    /// 16-byte chunk where [`packed_binop`] has one, per-lane scalar for
+    /// the rest (integer `mul`, shifts, `min`/`max`, `div`/`rem`; float
+    /// `min`/`max`/`rem`) and for a tail narrower than 16 bytes.
     fn vector_binop_uniform(
         &mut self,
         op: BinOp,
-        vt: snslp_ir::VectorType,
+        vt: VectorType,
         ad: i32,
         bd: i32,
         dst: i32,
     ) -> Result<String, String> {
         let esz = vt.elem.size_bytes() as i32;
         let total = i32::from(vt.lanes) * esz;
-        let packed_ok =
-            vt.elem.is_float() && matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div);
         let mut off = 0i32;
         let mut chunks = 0usize;
-        if packed_ok {
-            let prefix: &[u8] = if vt.elem == ScalarType::F32 {
-                &[]
-            } else {
-                &[0x66]
-            };
-            let opc = match op {
-                BinOp::Add => 0x58,
-                BinOp::Sub => 0x5C,
-                BinOp::Mul => 0x59,
-                _ => 0x5E,
-            };
+        if let Some((prefix, opc)) = packed_binop(op, vt.elem) {
             while total - off >= 16 {
                 self.a.movups_load(XMM0, RSP, ad + off);
                 self.a.movups_load(XMM1, RSP, bd + off);
@@ -1435,11 +1434,150 @@ impl<'a> Lower<'a> {
             off += esz;
             tail += 1;
         }
-        Ok(match (chunks, tail) {
-            (0, _) => format!("per-lane x{tail}"),
-            (_, 0) => format!("packed x{chunks}"),
-            _ => format!("packed x{chunks} + tail x{tail}"),
-        })
+        Ok(vector_strategy(chunks, tail))
+    }
+
+    /// Vector cast: one `cvtdq2ps` per 16 bytes for `sitofp` i32→f32,
+    /// per-lane scalar otherwise. The packed form is bit-exact: it and
+    /// the interpreter's `f64::from(i32) as f32` both round the exact
+    /// integer once, to nearest-even.
+    fn vector_cast(
+        &mut self,
+        kind: CastKind,
+        fv: VectorType,
+        tv: VectorType,
+        src: i32,
+        dst: i32,
+    ) -> Result<String, String> {
+        let (fe, te) = (fv.elem.size_bytes() as i32, tv.elem.size_bytes() as i32);
+        let lanes = i32::from(fv.lanes);
+        let mut lane = 0i32;
+        if kind == CastKind::Sitofp && (fv.elem, tv.elem) == (ScalarType::I32, ScalarType::F32) {
+            while lanes - lane >= 4 {
+                self.a.movups_load(XMM0, RSP, src + lane * 4);
+                self.a.sse_rr(&[], 0x5B, XMM0, XMM0); // cvtdq2ps
+                self.a.movups_store(RSP, dst + lane * 4, XMM0);
+                lane += 4;
+            }
+        }
+        let chunks = (lane / 4) as usize;
+        for i in lane..lanes {
+            self.scalar_cast(kind, fv.elem, tv.elem, src + i * fe, dst + i * te)?;
+        }
+        Ok(vector_strategy(chunks, (lanes - lane) as usize))
+    }
+
+    /// Vector compare into i32 0/1 lanes. Float lanes take one
+    /// `cmpps`/`cmppd` per 16-byte chunk: NaN gives false for every
+    /// predicate except `ne`, as on the scalar `ucomis*` path, and
+    /// `gt`/`ge` are `lt`/`le` with the operands swapped. `psrld 31`
+    /// then turns each all-ones lane into 1; an f64 chunk's mask is first
+    /// narrowed to two i32 lanes (`pshufd 0x08`) and written in one
+    /// 8-byte store. Integer lanes stay per-lane scalar.
+    fn vector_cmp(
+        &mut self,
+        pred: CmpPred,
+        vt: VectorType,
+        ad: i32,
+        bd: i32,
+        dst: i32,
+    ) -> Result<String, String> {
+        let esz = vt.elem.size_bytes() as i32;
+        let (lanes, per_chunk) = (i32::from(vt.lanes), 16 / esz);
+        let mut lane = 0i32;
+        if vt.elem.is_float() {
+            let (imm, x, y) = match pred {
+                CmpPred::Eq => (0, ad, bd),
+                CmpPred::Lt => (1, ad, bd),
+                CmpPred::Le => (2, ad, bd),
+                CmpPred::Ne => (4, ad, bd),
+                CmpPred::Gt => (1, bd, ad),
+                CmpPred::Ge => (2, bd, ad),
+            };
+            let prefix: &[u8] = if esz == 4 { &[] } else { &[0x66] };
+            while lanes - lane >= per_chunk {
+                self.a.movups_load(XMM0, RSP, x + lane * esz);
+                self.a.movups_load(XMM1, RSP, y + lane * esz);
+                self.a.cmpp(prefix, XMM0, XMM1, imm);
+                if esz == 8 {
+                    self.a.pshufd(XMM0, XMM0, 0x08);
+                }
+                self.a.psrld(XMM0, 31);
+                if esz == 8 {
+                    self.a.movsd_store(RSP, dst + lane * 4, XMM0);
+                } else {
+                    self.a.movups_store(RSP, dst + lane * 4, XMM0);
+                }
+                lane += per_chunk;
+            }
+        }
+        let chunks = (lane / per_chunk) as usize;
+        for i in lane..lanes {
+            let (o, m) = (i * esz, i * 4);
+            self.scalar_cmp(pred, Type::Scalar(vt.elem), ad + o, bd + o, dst + m)?;
+        }
+        Ok(vector_strategy(chunks, (lanes - lane) as usize))
+    }
+
+    /// Vector-mask select. An i32 mask with 4- or 8-byte arms is pure
+    /// bit selection per 16-byte chunk: `pcmpeqd` against zero marks the
+    /// false lanes (so every non-zero mask lane is true, not only 1),
+    /// `pshufd 0x50` widens them for 8-byte arms, and `andps`/`andnps`/
+    /// `orps` merge the arms, so NaN payloads and −0.0 pass through
+    /// unchanged. Other masks, and lanes past the last whole chunk,
+    /// branch per lane.
+    fn vector_select(
+        &mut self,
+        mv: VectorType,
+        vt: VectorType,
+        md: i32,
+        td: i32,
+        ed: i32,
+        dst: i32,
+    ) -> Result<String, String> {
+        let (msz, esz) = (mv.elem.size_bytes() as i32, vt.elem.size_bytes() as i32);
+        let (lanes, per_chunk) = (i32::from(vt.lanes), 16 / esz);
+        let mut lane = 0i32;
+        if mv.elem == ScalarType::I32 {
+            while lanes - lane >= per_chunk {
+                let o = lane * esz;
+                if esz == 4 {
+                    self.a.movups_load(XMM0, RSP, md + lane * 4);
+                } else {
+                    self.a.movsd_load(XMM0, RSP, md + lane * 4);
+                }
+                self.a.sse_rr(&[0x66], 0xEF, XMM1, XMM1); // pxor: zero
+                self.a.sse_rr(&[0x66], 0x76, XMM0, XMM1); // pcmpeqd: false lanes
+                if esz == 8 {
+                    self.a.pshufd(XMM0, XMM0, 0x50);
+                }
+                self.a.movups_load(XMM1, RSP, ed + o);
+                self.a.sse_rr(&[], 0x54, XMM1, XMM0); // andps: else where false
+                self.a.movups_load(XMM2, RSP, td + o);
+                self.a.sse_rr(&[], 0x55, XMM0, XMM2); // andnps: then where true
+                self.a.sse_rr(&[], 0x56, XMM0, XMM1); // orps
+                self.a.movups_store(RSP, dst + o, XMM0);
+                lane += per_chunk;
+            }
+        }
+        let chunks = (lane / per_chunk) as usize;
+        for i in lane..lanes {
+            match mv.elem {
+                ScalarType::I32 => self.a.mov32_load(RCX, RSP, md + i * msz),
+                ScalarType::I64 => self.a.mov_load(RCX, RSP, md + i * msz),
+                st => return Err(format!("select mask of {st} lanes")),
+            }
+            self.a.test_rr(RCX, RCX);
+            let l_else = self.a.new_label();
+            let l_end = self.a.new_label();
+            self.a.jcc(Cc::E, l_else);
+            self.copy_frame(td + i * esz, dst + i * esz, esz as usize);
+            self.a.jmp(l_end);
+            self.a.bind(l_else);
+            self.copy_frame(ed + i * esz, dst + i * esz, esz as usize);
+            self.a.bind(l_end);
+        }
+        Ok(vector_strategy(chunks, (lanes - lane) as usize))
     }
 
     fn block_index(&self, b: BlockId) -> usize {

@@ -1,14 +1,17 @@
 //! Golden `jitdump` listings: the JIT's textual lowering dump for two
-//! representative kernels under plain SLP and SN-SLP must stay
-//! byte-identical to the checked-in files. The dump carries opcode
-//! mnemonics, stack-slot assignments and emitted byte counts but no
-//! addresses, so it is stable across runs, hosts and ASLR — any diff is
-//! a real change to instruction selection and belongs in review.
+//! representative kernels under plain SLP and SN-SLP, plus the SN-SLP
+//! code of `povray_clamp` (packed compare and select) and `sphinx_cep`
+//! (packed `sitofp`), must stay byte-identical to the checked-in files.
+//! The dump carries opcode mnemonics, stack-slot assignments and emitted
+//! byte counts but no addresses, so it is stable across runs, hosts and
+//! ASLR — any diff is a real change to instruction selection and belongs
+//! in review. The binary jitdump's record structure is pinned the same
+//! way.
 //!
 //! Regenerate after an intentional codegen change with:
 //!
 //! ```text
-//! BLESS=1 cargo test -p snslp-jit --test jitdump_golden
+//! SNSLP_BLESS=1 cargo test -p snslp-jit --test jitdump_golden
 //! ```
 //!
 //! `compile` is pure lowering (no executable mapping), so these tests
@@ -37,13 +40,13 @@ fn check(kernel: &str, mode: SlpMode, label: &str) {
         .dump()
         .to_string();
     let path = golden_path(&format!("{kernel}_{label}.jitdump"));
-    if std::env::var_os("BLESS").is_some() {
+    if std::env::var_os("SNSLP_BLESS").is_some() {
         std::fs::write(&path, &dump).expect("write golden");
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
-            "missing golden {}: {e}\nregenerate with BLESS=1 cargo test -p snslp-jit",
+            "missing golden {}: {e}\nregenerate with SNSLP_BLESS=1 cargo test -p snslp-jit",
             path.display()
         )
     });
@@ -126,13 +129,13 @@ fn jitdump_file_structure_is_stable() {
     let listing = render_jitdump_structure(&jitdump_bytes(&syms, 0, 0));
 
     let path = golden_path("perf_jitdump.structure");
-    if std::env::var_os("BLESS").is_some() {
+    if std::env::var_os("SNSLP_BLESS").is_some() {
         std::fs::write(&path, &listing).expect("write golden");
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
-            "missing golden {}: {e}\nregenerate with BLESS=1 cargo test -p snslp-jit",
+            "missing golden {}: {e}\nregenerate with SNSLP_BLESS=1 cargo test -p snslp-jit",
             path.display()
         )
     });
@@ -162,4 +165,14 @@ fn povray_shade_slp_dump_is_stable() {
 #[test]
 fn povray_shade_snslp_dump_is_stable() {
     check("povray_shade", SlpMode::SnSlp, "snslp");
+}
+
+#[test]
+fn povray_clamp_snslp_dump_is_stable() {
+    check("povray_clamp", SlpMode::SnSlp, "snslp");
+}
+
+#[test]
+fn sphinx_cep_snslp_dump_is_stable() {
+    check("sphinx_cep", SlpMode::SnSlp, "snslp");
 }

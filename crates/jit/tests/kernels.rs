@@ -8,11 +8,14 @@
 //! On hosts without the native backend the differential reports
 //! `NotCovered` and the test degrades to checking that the fallback
 //! contract holds (no divergence is ever reported).
+//!
+//! A second test pins instruction selection for the same registry: no
+//! vector op in any kernel's SN-SLP code is lowered per lane.
 
 use snslp_core::{optimize_o3, run_slp, SlpConfig, SlpMode};
 use snslp_cost::CostModel;
 use snslp_interp::ExecOptions;
-use snslp_jit::{check_backends, native_supported, BackendDiff};
+use snslp_jit::{check_backends, compile, native_supported, BackendDiff};
 
 const DYN_MODES: [Option<SlpMode>; 4] = [
     None,
@@ -71,4 +74,28 @@ fn every_kernel_agrees_under_every_pipeline() {
     if native_supported() {
         assert_eq!(agreed, kernels.len() * DYN_MODES.len());
     }
+}
+
+#[test]
+fn snslp_vector_ops_all_lower_packed() {
+    // SN-SLP's cost model prices a vector op as one packed instruction;
+    // every vector op it emits for the registry must lower that way, not
+    // lane by lane. Lowering is pure, so this holds on every host.
+    let mut per_lane = Vec::new();
+    for kernel in snslp_kernels::registry() {
+        let mut f = kernel.build();
+        run_slp(&mut f, &SlpConfig::new(SlpMode::SnSlp));
+        let c = compile(&f).unwrap_or_else(|e| panic!("{} [snslp] must lower: {e}", kernel.name));
+        per_lane.extend(
+            c.dump()
+                .lines()
+                .filter(|l| l.contains("per-lane"))
+                .map(|l| format!("{}:{l}", kernel.name)),
+        );
+    }
+    assert!(
+        per_lane.is_empty(),
+        "SN-SLP listings still lower per lane:\n{}",
+        per_lane.join("\n")
+    );
 }
