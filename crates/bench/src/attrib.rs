@@ -567,8 +567,6 @@ pub struct DiffGates {
 
 impl Default for DiffGates {
     fn default() -> Self {
-        // Mirror the `check compile` gate (2x) with a 500us
-        // absolute floor.
         DiffGates {
             stage_ratio: 2.0,
             stage_floor_us: 500.0,

@@ -55,17 +55,6 @@ pub struct ModeDyn {
     pub vectorized_graphs: u64,
     /// The interpreter's dynamic profile for the run.
     pub profile: DynProfile,
-    /// Measured native wall-clock nanoseconds of one run under the
-    /// x86-64 JIT backend (minimum over [`crate::WALL_REPEATS`]
-    /// invocations), or `None` when the JIT declined the function or the
-    /// host has no native backend. The third calibration axis next to
-    /// `predicted_cost` and `cycles`.
-    pub wall_ns: Option<u64>,
-    /// The measured wall time split per opcode class
-    /// ([`OpClass::ALL`] order), apportioned by executed native bytes
-    /// from an exact instrumented-hotness run. `None` whenever
-    /// `wall_ns` is. Advisory: no gate reads it.
-    pub class_ns: Option<[u64; 5]>,
 }
 
 /// All pipelines of one kernel.
@@ -134,8 +123,6 @@ fn kernel_dyn(kernel: &snslp_kernels::Kernel) -> KernelDyn {
                     .as_ref()
                     .map_or(0, |rep| rep.vectorized_graphs() as u64),
                 profile: r.profile.clone(),
-                wall_ns: r.wall_ns,
-                class_ns: r.class_ns,
             }
         })
         .collect();
@@ -237,92 +224,6 @@ pub fn misprediction_remarks(rows: &[Calibration]) -> Vec<Remark> {
             remark
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------
-// Wall-clock calibration: simulated cycles vs measured native time.
-// ---------------------------------------------------------------------
-
-/// Ratio band for the wall-clock join: a row's ns-per-simulated-cycle may
-/// differ from the median row by up to this factor in either direction
-/// before it is flagged. The simulated model abstracts caches, ILP and
-/// branch prediction, so per-kernel spread is expected; an order of
-/// magnitude beyond the median means the model badly mis-weights that
-/// kernel's op mix.
-pub const WALL_BAND: f64 = 8.0;
-
-/// One kernel/mode row joining the simulated-cycle axis against the
-/// measured native wall time (only rows the JIT actually covered).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WallCalibration {
-    /// Kernel name.
-    pub kernel: String,
-    /// Pipeline label (`o3`, `slp`, `lslp`, `snslp`).
-    pub mode: String,
-    /// Simulated execution cycles.
-    pub cycles: u64,
-    /// Measured native wall time, nanoseconds.
-    pub wall_ns: u64,
-    /// Measured nanoseconds per simulated cycle.
-    pub ns_per_cycle: f64,
-    /// This row's `ns_per_cycle` relative to the median row.
-    pub vs_median: f64,
-    /// Outside the [`WALL_BAND`] ratio band around the median.
-    pub outlier: bool,
-}
-
-/// Joins every JIT-covered kernel/mode pair of the report against the
-/// measured native wall time and flags ns-per-cycle outliers relative to
-/// the median row. Empty on hosts without the native backend.
-pub fn calibrate_wall(report: &DynReport) -> Vec<WallCalibration> {
-    let mut rows: Vec<WallCalibration> = Vec::new();
-    for k in &report.kernels {
-        for m in &k.modes {
-            let Some(wall_ns) = m.wall_ns else { continue };
-            if m.cycles == 0 {
-                continue;
-            }
-            rows.push(WallCalibration {
-                kernel: k.name.clone(),
-                mode: m.label.clone(),
-                cycles: m.cycles,
-                wall_ns,
-                ns_per_cycle: wall_ns as f64 / m.cycles as f64,
-                vs_median: 1.0,
-                outlier: false,
-            });
-        }
-    }
-    if rows.is_empty() {
-        return rows;
-    }
-    let mut npc: Vec<f64> = rows.iter().map(|r| r.ns_per_cycle).collect();
-    npc.sort_by(f64::total_cmp);
-    let median = npc[npc.len() / 2];
-    for r in &mut rows {
-        r.vs_median = r.ns_per_cycle / median;
-        r.outlier = !(1.0 / WALL_BAND..=WALL_BAND).contains(&r.vs_median);
-    }
-    rows
-}
-
-/// Geometric-mean measured wall speedup of `label` over the scalar `o3`
-/// pipeline across kernels where the JIT covered **both**, with the
-/// kernel count. `None` when no kernel qualifies (non-x86-64 hosts).
-pub fn wall_geomean(report: &DynReport, label: &str) -> Option<(f64, usize)> {
-    let mut sum = 0.0;
-    let mut n = 0usize;
-    for k in &report.kernels {
-        let base = k.mode("o3").and_then(|m| m.wall_ns);
-        let this = k.mode(label).and_then(|m| m.wall_ns);
-        if let (Some(b), Some(t)) = (base, this) {
-            if b > 0 && t > 0 {
-                sum += (b as f64 / t as f64).ln();
-                n += 1;
-            }
-        }
-    }
-    (n > 0).then(|| ((sum / n as f64).exp(), n))
 }
 
 // ---------------------------------------------------------------------
@@ -459,69 +360,6 @@ impl DynReport {
         s
     }
 
-    /// The three-axis calibration table: for every JIT-covered
-    /// kernel/mode row, the statically *predicted* cost, the *simulated*
-    /// cycles, and the *measured* native wall time, joined through
-    /// ns-per-simulated-cycle against the median row. Footer lines give
-    /// the median and the measured wall-clock geomean speedups.
-    pub fn wall_table(&self) -> String {
-        let rows = calibrate_wall(self);
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "{:<18} {:<6} {:>10} {:>12} {:>12} {:>8} {:>9}  verdict",
-            "kernel", "mode", "predicted", "sim cycles", "wall ns", "ns/cyc", "vs median"
-        );
-        if rows.is_empty() {
-            let _ = writeln!(
-                s,
-                "(no native backend on this host: wall axis not measured)"
-            );
-            return s;
-        }
-        for r in &rows {
-            let predicted = self
-                .kernels
-                .iter()
-                .find(|k| k.name == r.kernel)
-                .and_then(|k| k.mode(&r.mode))
-                .map(|m| m.predicted_cost)
-                .unwrap_or(0);
-            let _ = writeln!(
-                s,
-                "{:<18} {:<6} {:>10} {:>12} {:>12} {:>8.3} {:>9.2}  {}",
-                r.kernel,
-                r.mode,
-                predicted,
-                r.cycles,
-                r.wall_ns,
-                r.ns_per_cycle,
-                r.vs_median,
-                if r.outlier { "OUTLIER" } else { "ok" },
-            );
-        }
-        let mut npc: Vec<f64> = rows.iter().map(|r| r.ns_per_cycle).collect();
-        npc.sort_by(f64::total_cmp);
-        let outliers = rows.iter().filter(|r| r.outlier).count();
-        let _ = writeln!(
-            s,
-            "{} rows, {} outliers (band {:.1}x around median {:.3} ns/cyc)",
-            rows.len(),
-            outliers,
-            WALL_BAND,
-            npc[npc.len() / 2],
-        );
-        for label in ["slp", "lslp", "snslp"] {
-            if let Some((geo, n)) = wall_geomean(self, label) {
-                let _ = writeln!(
-                    s,
-                    "measured wall geomean {label} vs o3: {geo:.3}x over {n} kernels"
-                );
-            }
-        }
-        s
-    }
-
     /// Renders the report as `snslp-dynstats/v1` JSON.
     pub fn to_json(&self) -> String {
         let kernels = self
@@ -591,37 +429,30 @@ fn mode_to_json(m: &ModeDyn) -> Json {
     let lanes = (1..p.lanes_hist.len())
         .filter(|&w| p.lanes_hist[w] > 0)
         .map(|w| (w.to_string(), p.lanes_hist[w].into()));
-    let mut members = vec![
+    let profile = obj([
+        ("ops", classes_to_json(&p.ops)),
+        ("class_cycles", classes_to_json(&p.cycles)),
+        ("scalar_ops", p.scalar_ops.into()),
+        ("vector_ops", p.vector_ops.into()),
+        ("lane_slots", p.lane_slots.into()),
+        ("lanes", obj(lanes)),
+        ("loads", p.loads.into()),
+        ("stores", p.stores.into()),
+        ("bytes_loaded", p.bytes_loaded.into()),
+        ("bytes_stored", p.bytes_stored.into()),
+        ("inserts", p.inserts.into()),
+        ("extracts", p.extracts.into()),
+        ("gathers", p.gathers.into()),
+        ("shuffles", p.shuffles.into()),
+        ("splats", p.splats.into()),
+    ]);
+    obj([
         ("cycles", m.cycles.into()),
         ("dyn_insts", m.dyn_insts.into()),
         ("predicted_cost", m.predicted_cost.into()),
         ("vectorized_graphs", m.vectorized_graphs.into()),
-    ];
-    // Optional so baselines written on hosts without the native backend
-    // (or before the JIT existed) stay parseable.
-    members.extend(m.wall_ns.map(|w| ("wall_ns", w.into())));
-    members.extend(m.class_ns.map(|ns| ("class_ns", classes_to_json(&ns))));
-    members.push((
-        "profile",
-        obj([
-            ("ops", classes_to_json(&p.ops)),
-            ("class_cycles", classes_to_json(&p.cycles)),
-            ("scalar_ops", p.scalar_ops.into()),
-            ("vector_ops", p.vector_ops.into()),
-            ("lane_slots", p.lane_slots.into()),
-            ("lanes", obj(lanes)),
-            ("loads", p.loads.into()),
-            ("stores", p.stores.into()),
-            ("bytes_loaded", p.bytes_loaded.into()),
-            ("bytes_stored", p.bytes_stored.into()),
-            ("inserts", p.inserts.into()),
-            ("extracts", p.extracts.into()),
-            ("gathers", p.gathers.into()),
-            ("shuffles", p.shuffles.into()),
-            ("splats", p.splats.into()),
-        ]),
-    ));
-    obj(members)
+        ("profile", profile),
+    ])
 }
 
 fn mode_from_json(label: &str, m: &mut View, kernel: &str) -> Result<ModeDyn, String> {
@@ -630,9 +461,6 @@ fn mode_from_json(label: &str, m: &mut View, kernel: &str) -> Result<ModeDyn, St
     let dyn_insts = m.u64("dyn_insts")?;
     let predicted_cost = m.i64("predicted_cost")?;
     let vectorized_graphs = m.u64("vectorized_graphs")?;
-    // Optional: absent in baselines from hosts without the native JIT.
-    let wall_ns = m.opt_u64("wall_ns")?;
-    let class_ns = m.opt_obj("class_ns", classes_from_json)?;
     let profile = m.obj("profile", |prof| {
         let mut profile = DynProfile::new();
         profile.ops = prof.obj("ops", classes_from_json)?;
@@ -661,17 +489,6 @@ fn mode_from_json(label: &str, m: &mut View, kernel: &str) -> Result<ModeDyn, St
         Ok(profile)
     })?;
 
-    if let Some(ns) = class_ns {
-        let Some(wall) = wall_ns else {
-            return Err(format!("{ctx}: class_ns present without wall_ns"));
-        };
-        let sum: u64 = ns.iter().sum();
-        if sum > wall {
-            return Err(format!(
-                "{ctx}: class_ns sums to {sum} ns, more than wall_ns {wall}"
-            ));
-        }
-    }
     if profile.total_ops() != dyn_insts {
         return Err(format!(
             "{ctx}: profile op classes sum to {} but dyn_insts is {dyn_insts}",
@@ -691,8 +508,6 @@ fn mode_from_json(label: &str, m: &mut View, kernel: &str) -> Result<ModeDyn, St
         predicted_cost,
         vectorized_graphs,
         profile,
-        wall_ns,
-        class_ns,
     })
 }
 
@@ -750,18 +565,6 @@ pub fn check_dyn(baseline: &DynReport, fresh: &DynReport) -> Result<String, Stri
             failures.push(format!(
                 "{}/{}: predicted {} but achieved {:.2}/iter — sign disagreement",
                 c.kernel, c.mode, c.predicted, c.achieved_per_iter
-            ));
-        }
-    }
-    // Wall gate, fresh-only (the baseline may predate the JIT or come
-    // from another host): on kernels where the native backend covered
-    // both SN-SLP and scalar O3, the measured wall-clock geomean must
-    // show a real win, not just a simulated one. Skipped when no kernel
-    // is covered (non-x86-64 hosts).
-    if let Some((geo, n)) = wall_geomean(fresh, "snslp") {
-        if geo <= 1.0 {
-            failures.push(format!(
-                "measured wall geomean snslp vs o3 is {geo:.3}x <= 1.0 over {n} JIT-covered kernels"
             ));
         }
     }
@@ -840,16 +643,7 @@ mod tests {
 
     #[test]
     fn gate_flags_deterministic_regressions() {
-        let mut base = one_kernel_report("motiv_trunk");
-        // The cycle gate is deterministic; the fresh-only wall gate on a
-        // one-kernel native measurement is not (a 1.07x margin reads
-        // <= 1.0x on a loaded host). Drop the measured axis so only the
-        // deterministic gate is under test; the wall gate is covered by
-        // `wall_axis_round_trips_and_calibrates` with injected numbers.
-        for m in &mut base.kernels[0].modes {
-            m.wall_ns = None;
-            m.class_ns = None;
-        }
+        let base = one_kernel_report("motiv_trunk");
         let mut fresh = base.clone();
         assert!(check_dyn(&base, &fresh).is_ok());
         fresh.kernels[0].modes[3].cycles += 1;
@@ -858,116 +652,6 @@ mod tests {
         // A missing kernel is also a failure.
         let empty = DynReport { kernels: vec![] };
         assert!(check_dyn(&base, &empty).is_err());
-    }
-
-    #[test]
-    fn wall_axis_round_trips_and_calibrates() {
-        let mut r = one_kernel_report("motiv_leaf");
-        // Force known wall numbers so the test is platform-independent:
-        // o3 slower than snslp in measured time, all rows near one
-        // ns-per-cycle scale.
-        for (m, wall) in r.kernels[0]
-            .modes
-            .iter_mut()
-            .zip([4000u64, 3500, 3600, 1500])
-        {
-            m.wall_ns = Some(wall);
-            // The real class split belongs to the real measurement, not
-            // the forced wall numbers — drop it to keep the
-            // sum(class_ns) <= wall_ns invariant honest.
-            m.class_ns = None;
-        }
-        let back = DynReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(r, back, "wall_ns must survive the JSON round trip");
-
-        let rows = calibrate_wall(&r);
-        assert_eq!(rows.len(), 4);
-        assert!(rows.iter().all(|w| !w.outlier), "{rows:?}");
-        let (geo, n) = wall_geomean(&r, "snslp").unwrap();
-        assert_eq!(n, 1);
-        assert!(geo > 1.0, "geo {geo}");
-        let table = r.wall_table();
-        assert!(table.contains("ns/cyc"), "{table}");
-        assert!(table.contains("measured wall geomean snslp vs o3"));
-        assert!(check_dyn(&r, &r).is_ok());
-
-        // A measured slowdown under SN-SLP trips the fresh-only gate.
-        let mut slow = r.clone();
-        slow.kernels[0].modes[3].wall_ns = Some(9000);
-        let err = check_dyn(&r, &slow).unwrap_err();
-        assert!(err.contains("wall geomean"), "{err}");
-
-        // Hosts without the backend skip the wall gate entirely.
-        let mut bare = r.clone();
-        for m in &mut bare.kernels[0].modes {
-            m.wall_ns = None;
-        }
-        assert!(calibrate_wall(&bare).is_empty());
-        assert!(wall_geomean(&bare, "snslp").is_none());
-        assert!(bare.wall_table().contains("no native backend"));
-        assert!(check_dyn(&bare, &bare).is_ok());
-    }
-
-    #[test]
-    fn class_axis_round_trips_and_calibrates() {
-        let mut r = one_kernel_report("motiv_leaf");
-        // Force a deterministic split proportional to predicted class
-        // cycles. The walls keep snslp measurably faster than o3 for the
-        // wall gate.
-        let walls = [10_000u64, 9_000, 9_000, 5_000];
-        for (m, wall) in r.kernels[0].modes.iter_mut().zip(walls) {
-            m.wall_ns = Some(wall);
-            let total = m.profile.total_cycles();
-            let mut ns = [0u64; 5];
-            for (i, slot) in ns.iter_mut().enumerate() {
-                *slot = wall * m.profile.cycles[i] / total;
-            }
-            m.class_ns = Some(ns);
-        }
-        let back = DynReport::from_json(&r.to_json()).unwrap();
-        assert_eq!(r, back, "class_ns must survive the JSON round trip");
-
-        let mut skewed = r.clone();
-        let m = &mut skewed.kernels[0].modes[0];
-        let mut ns = m.class_ns.unwrap();
-        let wall = m.wall_ns.unwrap();
-        // All of the wall time on the class with the fewest predicted
-        // cycles — the largest possible ns-per-cycle skew.
-        let hot = (0..5)
-            .filter(|&i| ns[i] > 0)
-            .min_by_key(|&i| m.profile.cycles[i])
-            .unwrap();
-        ns = [0; 5];
-        ns[hot] = wall;
-        m.class_ns = Some(ns);
-        // The class axis is advisory: the gate stays green.
-        assert!(check_dyn(&skewed, &skewed).is_ok());
-
-        // The reader enforces the cross-invariants.
-        let text = r.to_json();
-        let orphan = text.replacen("\"wall_ns\": 10000,", "", 1);
-        assert!(DynReport::from_json(&orphan)
-            .unwrap_err()
-            .contains("class_ns present without wall_ns"),);
-        let overflow = text.replacen("\"wall_ns\": 10000,", "\"wall_ns\": 10,", 1);
-        assert!(DynReport::from_json(&overflow)
-            .unwrap_err()
-            .contains("more than wall_ns"));
-    }
-
-    #[test]
-    fn native_host_measures_wall_time() {
-        if !snslp_jit::native_supported() {
-            return;
-        }
-        let r = one_kernel_report("motiv_leaf");
-        for m in &r.kernels[0].modes {
-            assert!(
-                m.wall_ns.is_some_and(|w| w > 0),
-                "{} not JIT-covered on a native host",
-                m.label
-            );
-        }
     }
 
     #[test]

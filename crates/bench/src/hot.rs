@@ -147,42 +147,13 @@ pub fn sampled_hot(
     ))
 }
 
-/// Native bytes *executed* per opcode class: each instruction's range
-/// size weighted by its execution count. Unlike the per-class op counts
-/// (which reconcile with the interpreter exactly), this is information
-/// only the native backend has — the footprint each class actually
-/// occupies in the instruction stream — and is what apportions measured
-/// wall time onto classes for the dynstats `class_ns` axis.
-pub fn executed_bytes_per_class(prof: &HotProfile) -> [u64; OpClass::ALL.len()] {
-    let mut bytes = [0u64; OpClass::ALL.len()];
-    for i in &prof.insts {
-        bytes[i.class.index()] += u64::from(i.pc_end - i.pc_start) * i.count;
-    }
-    bytes
-}
-
-/// Splits a measured wall time over opcode classes proportionally to
-/// [`executed_bytes_per_class`]. Zero everywhere when the profile
-/// executed nothing.
-pub fn class_ns_split(prof: &HotProfile, wall_ns: u64) -> [u64; OpClass::ALL.len()] {
-    let bytes = executed_bytes_per_class(prof);
-    let total: u64 = bytes.iter().sum();
-    let mut ns = [0u64; OpClass::ALL.len()];
-    if total > 0 {
-        for (slot, b) in ns.iter_mut().zip(bytes) {
-            *slot = (wall_ns as u128 * b as u128 / total as u128) as u64;
-        }
-    }
-    ns
-}
-
 /// Aggregates an instrumented profile per vectorization decision:
 /// rendered [`DecisionId`] → (exact native execution count of the
 /// instructions that decision emitted, measured nanoseconds attributed
 /// to them). Nanoseconds are the function's wall time apportioned by
-/// executed native bytes — the same rule as [`class_ns_split`], so a
-/// decision's share never exceeds `wall_ns` and scalar code keeps the
-/// remainder.
+/// executed native bytes (each instruction's range size times its
+/// execution count), so a decision's share never exceeds `wall_ns` and
+/// scalar code keeps the remainder.
 pub fn decision_hot(prof: &HotProfile, wall_ns: u64) -> BTreeMap<String, (u64, u64)> {
     let total: u64 = prof
         .insts
@@ -649,35 +620,5 @@ mod tests {
 }"#;
         let err = HotDoc::from_json(text).unwrap_err();
         assert!(err.contains("native_wall_ns is zero"), "{err}");
-    }
-
-    #[test]
-    fn class_ns_split_is_proportional_and_bounded() {
-        if !snslp_jit::native_supported() {
-            return;
-        }
-        let kernel = kernel_by_name("motiv_leaf").unwrap();
-        let f = {
-            let mut f = kernel.build();
-            run_slp(&mut f, &SlpConfig::new(SlpMode::SnSlp));
-            f
-        };
-        let profile = check_hotness(
-            &f,
-            &kernel.args(8),
-            &CostModel::default(),
-            &ExecOptions::default(),
-            BTreeMap::new(),
-        )
-        .unwrap()
-        .unwrap();
-        let ns = class_ns_split(&profile, 1_000_000);
-        assert!(ns.iter().sum::<u64>() <= 1_000_000);
-        // Every class the kernel executes gets a share.
-        for c in OpClass::ALL {
-            if profile.class_ops[c.index()] > 0 {
-                assert!(ns[c.index()] > 0, "class {} got no time", c.name());
-            }
-        }
     }
 }

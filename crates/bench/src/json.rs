@@ -1,8 +1,7 @@
-//! The one JSON emitter/parser behind every bench artifact
-//! (`BENCH_compile_time.json`, stats, dynstats, hot, serve-bench,
-//! `snslp-report/v1`, the `snslpd` telemetry snapshot): a tiny value type
-//! so the workspace stays free of external crates, plus the strict reader
-//! every schema is read through.
+//! The one JSON emitter/parser behind every bench artifact (dynstats,
+//! hot, `snslp-report/v1`, the `snslpd` telemetry snapshot): a tiny value
+//! type so the workspace stays free of external crates, plus the strict
+//! reader every schema is read through.
 //!
 //! A reader hands [`read_text`] (or [`read_doc`]) a closure over a
 //! [`View`] of the top-level object. The view's typed getters mark each
@@ -437,13 +436,6 @@ impl<'a> View<'a> {
         })
     }
 
-    /// A count member read into a `usize` field.
-    pub fn usize(&mut self, key: &str) -> Result<usize, String> {
-        self.typed(key, COUNT, |v| {
-            as_count(v).and_then(|n| usize::try_from(n).ok())
-        })
-    }
-
     /// A signed integer member (integral, magnitude at most 2^53).
     pub fn i64(&mut self, key: &str) -> Result<i64, String> {
         self.typed(key, "an integer", as_int)
@@ -530,18 +522,6 @@ impl<'a> View<'a> {
     /// An optional string.
     pub fn opt_str(&mut self, key: &str) -> Result<Option<&'a str>, String> {
         self.opt_typed(key, "a string", Json::as_str)
-    }
-
-    /// An optional object, read strictly through `read` when present.
-    pub fn opt_obj<T>(
-        &mut self,
-        key: &str,
-        read: impl FnOnce(&mut View<'a>) -> Result<T, String>,
-    ) -> Result<Option<T>, String> {
-        match self.take(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => View::read(v, self.at(key), read).map(Some),
-        }
     }
 }
 

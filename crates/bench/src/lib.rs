@@ -1,13 +1,12 @@
 //! # snslp-bench
 //!
 //! The measurement harness that regenerates every table and figure of the
-//! SN-SLP paper's evaluation (§V). `snslp-bench figures` prints the series;
-//! the `compile_time` bench under `benches/` measures wall-clock compile
-//! time (`BENCH_compile_time.json` is a snapshot of its report).
+//! SN-SLP paper's evaluation (§V). `snslp-bench figures` prints the series.
 //!
 //! All performance numbers are *simulated cycles* from the cost model's
-//! execution view (see `snslp-cost`); compile times are wall-clock over
-//! the actual pass implementation.
+//! execution view (see `snslp-cost`); Fig. 11's compile times are
+//! wall-clock over the actual pass implementation. Native wall-clock time
+//! is measured by the separate `perfbench` package, not here.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -16,27 +15,22 @@ pub mod attrib;
 pub mod dynstats;
 pub mod hot;
 pub mod json;
-pub mod report;
-pub mod servebench;
 pub mod tracecheck;
 
 use std::time::{Duration, Instant};
 
 use snslp_core::{optimize_o3, run_slp, FunctionReport, SlpConfig, SlpMode};
 use snslp_cost::CostModel;
-use snslp_interp::{run_with_args, ArgSpec, DynProfile, ExecOptions};
+use snslp_interp::{run_with_args, DynProfile, ExecOptions};
 use snslp_ir::{Function, Module};
 use snslp_kernels::{Benchmark, Kernel};
-use snslp_trace::{Counter, MetricsSnapshot};
-
-use report::{CompileTimeReport, KernelTiming, Timing};
 
 /// The three compiler configurations of the evaluation (§V): `O3` is all
 /// vectorizers disabled.
 pub const MODES: [Option<SlpMode>; 3] = [None, Some(SlpMode::Lslp), Some(SlpMode::SnSlp)];
 
 /// All four pipelines, in the order of every report that covers them
-/// (dynstats, hot, compile-time): the evaluation modes of [`MODES`] plus
+/// (dynstats, hot): the evaluation modes of [`MODES`] plus
 /// vanilla SLP, so the dynstats report can show where plain SLP falls
 /// back to gathers. Each report labels a pipeline with [`pipeline_code`].
 pub const DYN_MODES: [Option<SlpMode>; 4] = [
@@ -74,17 +68,6 @@ pub struct ModeResult {
     pub compile_time: Duration,
     /// Dynamic execution profile of the measured run.
     pub profile: DynProfile,
-    /// Measured native wall-clock time of one run under the x86-64 JIT
-    /// backend (minimum over [`WALL_REPEATS`] invocations), or `None`
-    /// when the JIT declined the function or the platform has no native
-    /// backend. The simulated `cycles` stay the headline number; this is
-    /// the third calibration axis.
-    pub wall_ns: Option<u64>,
-    /// Measured native wall time split per opcode class
-    /// ([`snslp_interp::OpClass::ALL`] order), apportioned by executed
-    /// native code bytes from an exact instrumented-hotness run. `None`
-    /// whenever `wall_ns` is — both need the native backend.
-    pub class_ns: Option<[u64; 5]>,
 }
 
 /// All configurations of one kernel.
@@ -113,34 +96,6 @@ impl KernelRow {
     pub fn speedup(&self, mode: Option<SlpMode>) -> f64 {
         self.result(None).cycles as f64 / self.result(mode).cycles as f64
     }
-}
-
-/// Timed native invocations per function; the minimum is reported, which
-/// is the standard estimator for the noise-free wall time of a
-/// deterministic computation.
-pub const WALL_REPEATS: usize = 15;
-
-/// Measures the native wall-clock time of one run of `f` on `args` under
-/// the x86-64 JIT backend: compile once, then the minimum of
-/// [`WALL_REPEATS`] timed invocations, each on freshly materialized
-/// memory (identical layout to the interpreter run).
-///
-/// Returns `None` when the JIT declines the function, the platform has
-/// no native backend, or execution traps — in all of those cases the
-/// simulated-cycle axis remains the only number for this function.
-pub fn native_wall_ns(f: &Function, args: &[ArgSpec]) -> Option<u64> {
-    let native = snslp_jit::compile(f).ok()?.finalize().ok()?;
-    let opts = ExecOptions::default();
-    let mut best: Option<u64> = None;
-    for _ in 0..WALL_REPEATS {
-        let (mut mem, values) = snslp_jit::materialize_args(args);
-        let start = Instant::now();
-        let out = native.invoke(&values, &mut mem, &opts);
-        let ns = start.elapsed().as_nanos() as u64;
-        out.ok()?;
-        best = Some(best.map_or(ns, |b| b.min(ns)));
-    }
-    best
 }
 
 /// One module holding the scalar IR of every registry kernel — the corpus
@@ -195,14 +150,11 @@ pub fn measure_kernel_modes(kernel: &Kernel, iters: usize, modes: &[Option<SlpMo
             let (report, compile_time) = compile(&mut f, mode);
             let out = run_with_args(&f, &args, &model, &ExecOptions::default())
                 .unwrap_or_else(|e| panic!("{} [{}]: {e}", kernel.name, mode_label(mode)));
-            let wall_ns = native_wall_ns(&f, &args);
             // Exact instrumented hotness: reconciles against the
             // interpreter's profile on every measured row (a mismatch is
-            // a lowering bug) and apportions the measured wall time onto
-            // opcode classes by executed native bytes.
+            // a lowering bug).
             let decisions = report.as_ref().map(hot::decision_map).unwrap_or_default();
-            let native = hot::native_hot(&f, &args, decisions);
-            if let Some(h) = &native {
+            if let Some(h) = hot::native_hot(&f, &args, decisions) {
                 h.reconcile(&out.exec.profile).unwrap_or_else(|e| {
                     panic!(
                         "{} [{}]: native hotness does not reconcile: {e}",
@@ -211,10 +163,6 @@ pub fn measure_kernel_modes(kernel: &Kernel, iters: usize, modes: &[Option<SlpMo
                     )
                 });
             }
-            let class_ns = match (&native, wall_ns) {
-                (Some(h), Some(w)) => Some(hot::class_ns_split(h, w)),
-                _ => None,
-            };
             ModeResult {
                 mode,
                 cycles: out.exec.cycles,
@@ -222,8 +170,6 @@ pub fn measure_kernel_modes(kernel: &Kernel, iters: usize, modes: &[Option<SlpMo
                 report,
                 compile_time,
                 profile: out.exec.profile,
-                wall_ns,
-                class_ns,
             }
         })
         .collect();
@@ -295,10 +241,6 @@ pub fn measure_benchmark(bench: &Benchmark) -> BenchRow {
             let mut compile_time = Duration::ZERO;
             let mut merged: Option<FunctionReport> = None;
             let mut profile = DynProfile::new();
-            // Composite wall time is the sum over member functions; any
-            // member the JIT declines voids the whole composite's wall
-            // number (a partial sum would not be comparable).
-            let mut wall_ns: Option<u64> = Some(0);
             for (mut f, args) in bench.functions() {
                 let (report, t) = compile(&mut f, mode);
                 compile_time += t;
@@ -315,10 +257,6 @@ pub fn measure_benchmark(bench: &Benchmark) -> BenchRow {
                 cycles += out.exec.cycles;
                 dyn_insts += out.exec.dyn_insts;
                 profile.merge(&out.exec.profile);
-                wall_ns = match (wall_ns, native_wall_ns(&f, &args)) {
-                    (Some(acc), Some(w)) => Some(acc + w),
-                    _ => None,
-                };
             }
             ModeResult {
                 mode,
@@ -327,10 +265,6 @@ pub fn measure_benchmark(bench: &Benchmark) -> BenchRow {
                 report: merged,
                 compile_time,
                 profile,
-                wall_ns,
-                // Composite rows keep only the aggregate wall number; the
-                // per-class split is a per-function measurement.
-                class_ns: None,
             }
         })
         .collect();
@@ -338,6 +272,15 @@ pub fn measure_benchmark(bench: &Benchmark) -> BenchRow {
         bench: bench.clone(),
         results,
     }
+}
+
+/// Statistics of a timing series, microseconds.
+#[derive(Debug, Clone, Copy)]
+pub struct Timing {
+    /// Mean over the timed runs.
+    pub mean_us: f64,
+    /// Sample standard deviation.
+    pub sd_us: f64,
 }
 
 /// Mean and sample standard deviation of `samples`, in their own unit.
@@ -369,52 +312,7 @@ pub fn time_pipeline(kernel: &Kernel, mode: Option<SlpMode>, warmup: usize, runs
         std::hint::black_box(&f);
     }
     let (mean_us, sd_us) = mean_sd(&samples);
-    let min_us = samples.iter().copied().fold(f64::INFINITY, f64::min);
-    Timing {
-        mean_us,
-        sd_us,
-        min_us,
-    }
-}
-
-/// Look-ahead score cache hit rate of one SN-SLP compile of the kernel
-/// (`hits / (hits + misses)`), from the thread-local metrics registry.
-fn snslp_cache_hit_rate(kernel: &Kernel) -> Option<f64> {
-    let before = MetricsSnapshot::current();
-    let mut f = kernel.build();
-    run_slp(&mut f, &SlpConfig::new(SlpMode::SnSlp));
-    let delta = MetricsSnapshot::current().delta_since(&before);
-    let hits = delta.get(Counter::LookaheadCacheHits) as f64;
-    let misses = delta.get(Counter::LookaheadCacheMisses) as f64;
-    if hits + misses == 0.0 {
-        None
-    } else {
-        Some(hits / (hits + misses))
-    }
-}
-
-/// Measures compile time of every registry kernel under every pipeline
-/// of [`DYN_MODES`], producing the machine-readable report the
-/// `compile_time` bench emits and `snslp-bench check compile` re-measures.
-pub fn measure_compile_times(warmup: usize, runs: usize) -> CompileTimeReport {
-    let kernels = snslp_kernels::registry()
-        .iter()
-        .map(|kernel| KernelTiming {
-            name: kernel.name.to_string(),
-            modes: DYN_MODES
-                .iter()
-                .map(|&mode| {
-                    let timing = time_pipeline(kernel, mode, warmup, runs);
-                    (pipeline_code(mode).to_string(), timing)
-                })
-                .collect(),
-            cache_hit_rate: snslp_cache_hit_rate(kernel),
-        })
-        .collect();
-    CompileTimeReport {
-        timed_runs: runs,
-        kernels,
-    }
+    Timing { mean_us, sd_us }
 }
 
 #[cfg(test)]
@@ -449,7 +347,6 @@ mod tests {
         let Timing {
             mean_us: mean,
             sd_us: stdev,
-            ..
         } = time_pipeline(&k, Some(SlpMode::SnSlp), 1, 3);
         assert!(mean > 0.0);
         assert!(stdev >= 0.0);

@@ -1,6 +1,6 @@
 //! Minimal blocking client for the `snslpd` NDJSON protocol: one
 //! connection, sequential request/reply, plus reply parsing helpers
-//! shared by `snslp-client` and the load generator.
+//! shared by `snslp-client`, `snslp-top` and perfbench.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;

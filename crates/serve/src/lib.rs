@@ -1,7 +1,8 @@
 //! The SN-SLP compile service: `snslpd` (a long-running daemon answering
 //! newline-delimited JSON compile requests over a Unix socket or stdio),
-//! `snslp-client` (a one-shot CLI client), and the latency-gated load
-//! generator behind `snslp-bench serve`.
+//! `snslp-client` (a one-shot CLI client) and `snslp-top` (a live
+//! telemetry dashboard). The `perfbench` package drives the real daemon
+//! under load.
 //!
 //! Why a service at all: the driver is fast, but cold process startup
 //! plus module parsing dominates small-module compile latency, and a
@@ -14,13 +15,11 @@
 //! the wire format.
 
 pub mod client;
-pub mod loadgen;
 pub mod proto;
 pub mod server;
 pub mod telemetry;
 
 pub use client::{Client, Reply};
-pub use loadgen::{run_loadgen, LoadgenOptions};
 pub use proto::{Request, STATUS_BUSY, STATUS_ERROR, STATUS_OK};
 pub use server::{serve_connection, ReplyMsg, ServeConfig, Server, ServerState};
 pub use telemetry::{TelemetrySnapshot, TELEMETRY_SCHEMA};

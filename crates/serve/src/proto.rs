@@ -304,9 +304,9 @@ pub fn failure_body(status: &str, error: &str) -> String {
 }
 
 /// Renders the status/payload half of a stats reply: the legacy flat
-/// `stats` counters (older clients and the load generator's scraper
-/// parse these) plus the full `snslpd-telemetry/v1` snapshot under
-/// `telemetry`, extractable and re-validatable on its own.
+/// `stats` counters (older clients parse these) plus the full
+/// `snslpd-telemetry/v1` snapshot under `telemetry`, extractable and
+/// re-validatable on its own.
 pub fn stats_body(telemetry: &crate::telemetry::TelemetrySnapshot) -> String {
     body_of(Json::Obj(vec![
         ("status".to_string(), Json::Str(STATUS_OK.to_string())),

@@ -698,7 +698,7 @@ impl Server {
     }
 
     /// Connects to this server in-process over a `UnixStream` pair —
-    /// used by tests and the in-process load generator.
+    /// used by tests.
     pub fn connect_in_process(&self) -> std::io::Result<UnixStream> {
         let (client, server_side) = UnixStream::pair()?;
         let state = self.state.clone();

@@ -1,6 +1,6 @@
-//! Every strict artifact reader, checked side by side: the six schemas
-//! that have a reader (`snslp-report/v1`, dynstats, hot, compile-time,
-//! serve-bench and the `snslpd` telemetry snapshot).
+//! Every strict artifact reader, checked side by side: the four schemas
+//! that have a reader (`snslp-report/v1`, dynstats, hot and the `snslpd`
+//! telemetry snapshot).
 //!
 //! * Same bytes: each checked-in artifact (and a freshly collected
 //!   report document) reads and re-renders to exactly its own text.
@@ -15,8 +15,6 @@ use snslp_bench::attrib::{collect_kernel_attrib, AttribReport};
 use snslp_bench::dynstats::DynReport;
 use snslp_bench::hot::HotDoc;
 use snslp_bench::json::Json;
-use snslp_bench::report::CompileTimeReport;
-use snslp_bench::servebench::ServeBenchReport;
 use snslp_core::{SlpConfig, SlpMode};
 use snslp_serve::TelemetrySnapshot;
 
@@ -72,18 +70,6 @@ fn artifacts() -> Vec<Artifact> {
             text: repo_file("crates/bench/tests/golden/povray_shade.hot.json"),
             count: "entries/1/sample_period_ns",
             read: |t| HotDoc::from_json(t).map(|d| d.to_json()),
-        },
-        Artifact {
-            name: "snslp-bench-compile-time/v1",
-            text: repo_file("BENCH_compile_time.json"),
-            count: "timed_runs",
-            read: |t| CompileTimeReport::from_json(t).map(|r| r.to_json()),
-        },
-        Artifact {
-            name: "snslp-serve-bench/v2",
-            text: repo_file("BENCH_serve.json"),
-            count: "warm/cache/evictions",
-            read: |t| ServeBenchReport::from_json(t).map(|r| r.to_json()),
         },
         Artifact {
             name: "snslpd-telemetry/v1",

@@ -28,12 +28,12 @@
 //! commutative (property-tested in this module), so per-shard histograms
 //! can be combined in any grouping. [`HistSnapshot::delta`] subtracts an
 //! earlier snapshot from a later one of the *same* histogram, which is
-//! how the load generator turns lifetime server counters into per-phase
-//! latency distributions.
+//! how `snslp-top` and perfbench's serve phase turn lifetime server
+//! counters into per-window latency distributions.
 //!
 //! The exact nearest-rank [`percentile`] lives here too — next to the
-//! approximation it bounds — and is re-exported by
-//! `snslp_bench::servebench` for the client-side latency series.
+//! approximation it bounds — and perfbench uses it for its client-side
+//! latency series.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -417,6 +417,15 @@ mod tests {
         // min/max are bucket-rounded.
         assert_eq!(delta.min, bucket_lo(bucket_index(100)));
         assert!(delta.max >= 40_000);
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let xs = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0];
+        assert_eq!(percentile(&xs, 50.0), 5.0);
+        assert_eq!(percentile(&xs, 90.0), 9.0);
+        assert_eq!(percentile(&xs, 99.0), 10.0);
+        assert_eq!(percentile(&xs, 100.0), 10.0);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! Names: `table1 fig2 fig3 fig5 fig6 fig7 fig8 fig9 fig10 fig11 dyn
 //! ablation widths | all` (default: `all` = the paper's tables/figures
 //! plus the dynamic-profile tables; `ablation` and `widths` are extra
-//! studies). `--iters N` scales kernel iteration counts (default: each
-//! kernel's `default_iters`).
+//! studies). `all` expands in place, and each name prints once, first
+//! occurrence first. `--iters N` scales kernel iteration counts (default:
+//! each kernel's `default_iters`).
 
 use snslp::bench::dynstats::collect_kernel_dyn;
 use snslp::bench::{measure_benchmark, measure_kernel, time_pipeline, KernelRow};
@@ -26,20 +27,33 @@ const EXTRA: [&str; 2] = ["ablation", "widths"];
 pub fn run(argv: &[String]) -> Outcome {
     let args = Args::parse(argv, &["--iters"], &[])?;
     let iters_override: Option<usize> = args.parsed("--iters")?;
-    let mut wanted = args.positional.clone();
-    if let Some(unknown) = wanted
+    let names: Vec<&str> = match args.positional.as_slice() {
+        [] => vec!["all"],
+        given => given.iter().map(String::as_str).collect(),
+    };
+    if let Some(unknown) = names
         .iter()
-        .find(|w| *w != "all" && !ALL.contains(&w.as_str()) && !EXTRA.contains(&w.as_str()))
+        .find(|w| **w != "all" && !ALL.contains(w) && !EXTRA.contains(w))
     {
         return Err(Error::usage(format!("unknown figure `{unknown}`")));
     }
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = ALL.iter().map(|s| s.to_string()).collect();
+    let mut wanted: Vec<&str> = Vec::new();
+    for name in names {
+        let expanded: &[&str] = if name == "all" {
+            &ALL
+        } else {
+            std::slice::from_ref(&name)
+        };
+        for &w in expanded {
+            if !wanted.contains(&w) {
+                wanted.push(w);
+            }
+        }
     }
 
     let kernel_rows: Vec<KernelRow> = if wanted
         .iter()
-        .any(|w| ["fig5", "fig6", "fig7", "fig11"].contains(&w.as_str()))
+        .any(|w| ["fig5", "fig6", "fig7", "fig11"].contains(w))
     {
         registry()
             .iter()
@@ -49,9 +63,9 @@ pub fn run(argv: &[String]) -> Outcome {
         Vec::new()
     };
 
-    for w in &wanted {
+    for w in wanted {
         let before = MetricsSnapshot::current();
-        match w.as_str() {
+        match w {
             "table1" => table1(),
             "fig2" => cost_table("fig2", "motiv_leaf"),
             "fig3" => cost_table("fig3", "motiv_trunk"),
@@ -96,8 +110,6 @@ fn dyn_tables() {
     print!("{}", report.lane_table());
     header("Cost calibration: predicted (static model) vs achieved (dynamic) saving per iteration");
     print!("{}", report.calibration_table());
-    header("Wall-clock calibration: simulated cycles vs measured native time (x86-64 JIT)");
-    print!("{}", report.wall_table());
 }
 
 /// Ablation (beyond the paper): SN-SLP with trunk reordering disabled

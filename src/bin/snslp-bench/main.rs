@@ -1,8 +1,9 @@
 //! `snslp-bench` — regenerates and gates the paper's evaluation: Table I,
-//! Figs. 2–3 and 5–11, the checked-in `BENCH_*.json` trajectories, the
-//! per-function compile report (decisions, pass counters, stage times)
-//! and its diff, and the `snslpd` load generator. Run `snslp-bench
-//! --help` for the commands.
+//! Figs. 2–3 and 5–11, the deterministic gates over the checked-in
+//! `BENCH_dyn.json` and the native hotness artifact, and the per-function
+//! compile report (decisions, pass counters, stage times) and its diff.
+//! Run `snslp-bench --help` for the commands. Wall-clock benchmarking
+//! lives in the separate `perfbench` package.
 //!
 //! Every command shares one flag reader (`--flag V` or `--flag=V`) and one
 //! exit contract: `0` ok, `1` a gate or diff failed, `2` usage error, `3`
@@ -13,7 +14,6 @@ mod check;
 mod figures;
 mod graphdump;
 mod report;
-mod serve;
 mod stats;
 
 use std::process::ExitCode;
@@ -22,16 +22,10 @@ use std::str::FromStr;
 const USAGE: &str = "\
 usage: snslp-bench <command> [args]
 
-  check compile [BASELINE]
-      compile-time gate over the registry kernels: fails when a kernel's
-      fresh SN-SLP minimum exceeds 2x the baseline's
-      (default baseline: BENCH_compile_time.json)
   check dyn [--bless] [--out FILE] [BASELINE]
-      deterministic simulated-cycle gate + cost-model and wall-clock
-      calibration (default baseline: BENCH_dyn.json);
+      deterministic simulated-cycle gate + cost-model calibration
+      (default baseline: BENCH_dyn.json);
       --bless rewrites the baseline, --out also writes the fresh report
-  check serve [--fresh FILE] [BASELINE]
-      compile-service shape invariants (default: BENCH_serve.json)
   check hot [--out FILE]
       instrumented native-hotness smoke over the registry kernels:
       exact per-class counts must reconcile with the interpreter's
@@ -58,12 +52,6 @@ usage: snslp-bench <command> [args]
       root-cause two runs down to changed decisions, counter deltas,
       functions in one run only and stage times past 2x and +500us;
       exit 1 on any of them
-  serve [--socket PATH | --spawn] [--clients N] [--requests N]
-        [--functions N] [--seed N] [--mode M] [--target-isa T]
-        [--out FILE] [--check]
-      replay fixed-seed traffic against snslpd (an in-process server
-      unless --socket or --spawn) and print the snslp-serve-bench/v2
-      report; --check applies the `check serve` gate to it
 
 flags take `--flag VALUE` or `--flag=VALUE`; without --out, documents go
 to stdout
@@ -235,16 +223,14 @@ fn run(argv: &[String]) -> Outcome {
     let (command, rest) = argv
         .split_first()
         .ok_or_else(|| Error::usage("missing command"))?;
-    // The gates and the load generator run without tracing; graphdump
-    // applies `SNSLP_TRACE` itself.
+    // The gates run without tracing; graphdump applies `SNSLP_TRACE`
+    // itself.
     if matches!(command.as_str(), "figures" | "stats" | "report") {
         init_trace()?;
     }
     let sub = rest.split_first().map(|(s, r)| (s.as_str(), r));
     match (command.as_str(), sub) {
-        ("check", Some(("compile", r))) => check::compile(r),
         ("check", Some(("dyn", r))) => check::dyn_gate(r),
-        ("check", Some(("serve", r))) => check::serve(r),
         ("check", Some(("hot", r))) => check::hot(r),
         ("figures", _) => figures::run(rest),
         ("graphdump", _) => graphdump::run(rest),
@@ -254,7 +240,6 @@ fn run(argv: &[String]) -> Outcome {
         ("report", Some(("html", r))) => report::html(r),
         ("report", Some(("validate", r))) => report::validate(r),
         ("report", Some(("diff", r))) => report::diff(r),
-        ("serve", _) => serve::run(rest),
         ("check" | "stats" | "report", Some((other, _))) => Err(Error::usage(format!(
             "unknown `{command}` subcommand `{other}`"
         ))),

@@ -28,11 +28,11 @@
 //!                              `; INPUTS:` comment line
 //!   --backend interp|jit       with --run, how to execute the entry
 //!                              (default interp). `jit` compiles the
-//!                              committed IR to native x86-64 SSE2 code,
-//!                              cross-checks it bit-exactly against the
-//!                              interpreter, and reports measured wall
-//!                              time; functions the JIT declines fall
-//!                              back to the interpreter with a remark
+//!                              committed IR to native x86-64 SSE2 code
+//!                              and cross-checks it bit-exactly against
+//!                              the interpreter; functions the JIT
+//!                              declines fall back to the interpreter
+//!                              with a remark
 //!   --dyn-profile[=FILE]       with --run, also write the profile as a
 //!                              snslp-dynstats/v1 JSON document
 //!                              (default snslp-dyn.json)
@@ -277,54 +277,31 @@ fn run_entry(
     let label = snslp::bench::pipeline_code(opts.mode);
 
     // `--backend jit`: the interpreter pass above remains the profile
-    // source; the native pass adds measured wall time after a bit-exact
-    // cross-check of every observable.
-    let wall_ns = match opts.backend {
-        snslp::jit::Backend::Interp => None,
-        snslp::jit::Backend::Jit => {
-            match snslp::jit::check_backends(f, &args, &model, &ExecOptions::default())
-                .map_err(|d| format!("@{}: backend divergence: {d}", f.name()))?
-            {
-                snslp::jit::BackendDiff::NotCovered { reason } => {
-                    if opts.jit_strict {
-                        return Err(format!(
-                            "@{}: --jit-strict: native backend not used ({reason})",
-                            f.name()
-                        ));
-                    }
-                    eprintln!(
-                        "@{}: native backend not used ({reason}); interpreter result stands",
+    // source; the native pass must match it on every observable.
+    if opts.backend == snslp::jit::Backend::Jit {
+        match snslp::jit::check_backends(f, &args, &model, &ExecOptions::default())
+            .map_err(|d| format!("@{}: backend divergence: {d}", f.name()))?
+        {
+            snslp::jit::BackendDiff::NotCovered { reason } => {
+                if opts.jit_strict {
+                    return Err(format!(
+                        "@{}: --jit-strict: native backend not used ({reason})",
                         f.name()
-                    );
-                    None
+                    ));
                 }
-                snslp::jit::BackendDiff::Agreed => {
-                    let wall = snslp::bench::native_wall_ns(f, &args);
-                    if let Some(ns) = wall {
-                        eprintln!(
-                            "@{}: native x86-64 run matches the interpreter bit-exactly; \
-                             {ns} ns wall (min of {} runs)",
-                            f.name(),
-                            snslp::bench::WALL_REPEATS
-                        );
-                    }
-                    wall
-                }
+                eprintln!(
+                    "@{}: native backend not used ({reason}); interpreter result stands",
+                    f.name()
+                );
             }
+            snslp::jit::BackendDiff::Agreed => eprintln!(
+                "@{}: native x86-64 run matches the interpreter bit-exactly",
+                f.name()
+            ),
         }
-    };
+    }
 
     if let Some(path) = &opts.dyn_out {
-        // The per-class wall split rides along whenever the native
-        // backend measured this run: an instrumented hotness pass
-        // apportions the wall time by executed native bytes.
-        let class_ns = wall_ns.and_then(|w| {
-            let decisions = report
-                .map(snslp::bench::hot::decision_map)
-                .unwrap_or_default();
-            snslp::bench::hot::native_hot(f, &args, decisions)
-                .map(|h| snslp::bench::hot::class_ns_split(&h, w))
-        });
         let doc = DynReport {
             kernels: vec![KernelDyn {
                 name: f.name().to_string(),
@@ -336,8 +313,6 @@ fn run_entry(
                     predicted_cost: report.map(|r| r.predicted_cost()).unwrap_or(0),
                     vectorized_graphs: report.map(|r| r.vectorized_graphs() as u64).unwrap_or(0),
                     profile: out.exec.profile.clone(),
-                    wall_ns,
-                    class_ns,
                 }],
             }],
         };

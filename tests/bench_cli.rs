@@ -5,8 +5,6 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-use snslp::bench::servebench::ServeBenchReport;
-
 fn repo_path(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(rel)
 }
@@ -27,7 +25,7 @@ fn scratch(test: &str) -> PathBuf {
 
 #[test]
 fn usage_errors_exit_2() {
-    let cases: [&[&str]; 8] = [
+    let cases: [&[&str]; 10] = [
         &["nosuch"],
         &["report", "collect", "--bogus"],
         &["report", "collect", "--out"],
@@ -35,7 +33,9 @@ fn usage_errors_exit_2() {
         &["stats", "diff"],
         &["figures", "nosuch"],
         &["figures", "--iters", "abc"],
-        &["serve", "--socket"],
+        &["serve"],
+        &["check", "compile"],
+        &["check", "serve"],
     ];
     for args in cases {
         let out = snslp_bench(args);
@@ -50,9 +50,9 @@ fn a_missing_or_truncated_artifact_exits_3_and_names_its_path() {
     let dir = scratch("artifact");
     let missing = dir.join("missing.json");
     let truncated = dir.join("truncated.json");
-    let baseline = std::fs::read_to_string(repo_path("BENCH_serve.json")).expect("baseline");
+    let baseline = std::fs::read_to_string(repo_path("BENCH_dyn.json")).expect("baseline");
     std::fs::write(&truncated, &baseline[..baseline.len() / 2]).expect("write truncated copy");
-    for (command, path) in [("report validate", &missing), ("check serve", &truncated)] {
+    for (command, path) in [("report validate", &missing), ("check dyn", &truncated)] {
         let mut args: Vec<&str> = command.split(' ').collect();
         args.push(path.to_str().expect("UTF-8 path"));
         let out = snslp_bench(&args);
@@ -64,14 +64,6 @@ fn a_missing_or_truncated_artifact_exits_3_and_names_its_path() {
         );
     }
     let _ = std::fs::remove_dir_all(dir);
-}
-
-#[test]
-fn check_serve_passes_on_the_checked_in_baseline() {
-    let baseline = repo_path("BENCH_serve.json");
-    let out = snslp_bench(&["check", "serve", baseline.to_str().expect("UTF-8 path")]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
 
 #[test]
@@ -139,28 +131,4 @@ fn snslpc_stats_takes_no_file() {
     let stderr = String::from_utf8_lossy(&plain.stderr);
     assert!(plain.status.success(), "{stderr}");
     assert!(stderr.contains("vectorized"), "{stderr}");
-}
-
-/// The serve-bench report carries its seed as a JSON number, so the load
-/// generator refuses a seed its own reader could not read back.
-#[test]
-fn snslp_bench_refuses_a_seed_its_report_cannot_carry() {
-    let run = |seed: &str| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_snslp-bench"))
-            .args(["serve", "--clients", "1", "--requests", "1"])
-            .args(["--functions", "1", "--seed", seed])
-            .output()
-            .expect("snslp-bench runs")
-    };
-    let over = run("9007199254740993");
-    assert_eq!(over.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&over.stderr);
-    assert!(stderr.contains("--seed must be at most 2^53"), "{stderr}");
-
-    let max = run("9007199254740992");
-    let stderr = String::from_utf8_lossy(&max.stderr);
-    assert!(max.status.success(), "{stderr}");
-    let stdout = String::from_utf8(max.stdout).expect("UTF-8 report");
-    let report = ServeBenchReport::from_json(stdout.trim()).expect("report reads back");
-    assert_eq!(report.seed, 1 << 53);
 }
