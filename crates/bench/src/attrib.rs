@@ -553,32 +553,18 @@ impl DecisionDelta {
     }
 }
 
-/// Thresholds separating noise from regressions in [`diff`]'s stage-time
-/// section.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiffGates {
-    /// A stage time must grow by more than this factor...
-    pub stage_ratio: f64,
-    /// ...*and* by more than this many microseconds to count. The floor
-    /// keeps two honest runs of a small corpus from flagging scheduler
-    /// jitter on sub-millisecond stages.
-    pub stage_floor_us: f64,
-}
+/// In [`diff`]'s stage-time section a stage regresses only if its time
+/// grows by more than this factor...
+const STAGE_RATIO: f64 = 2.0;
 
-impl Default for DiffGates {
-    fn default() -> Self {
-        DiffGates {
-            stage_ratio: 2.0,
-            stage_floor_us: 500.0,
-        }
-    }
-}
+/// ...*and* by more than this many microseconds. The floor keeps two
+/// honest runs of a small corpus from flagging scheduler jitter on
+/// sub-millisecond stages.
+const STAGE_FLOOR_US: f64 = 500.0;
 
-impl DiffGates {
-    /// Whether a stage that took `base` microseconds regressed at `new`.
-    fn regressed(&self, base: f64, new: f64) -> bool {
-        new > base * self.stage_ratio && new - base > self.stage_floor_us
-    }
+/// Whether a stage that took `base` microseconds regressed at `new`.
+fn stage_regressed(base: f64, new: f64) -> bool {
+    new > base * STAGE_RATIO && new - base > STAGE_FLOOR_US
 }
 
 /// One changed value of one function: a counter or a stage time.
@@ -622,8 +608,8 @@ pub struct AttribDiff {
     pub changed: Vec<DecisionDelta>,
     /// Changed pass counters, exact, largest change first.
     pub counter_deltas: Vec<DeltaRow>,
-    /// Stage times past both [`DiffGates`] thresholds, largest growth
-    /// first.
+    /// Stage times past both the ratio and the floor gate, largest
+    /// growth first.
     pub stage_regressions: Vec<DeltaRow>,
     /// Function keys present only in the base run.
     pub only_base: Vec<String>,
@@ -759,10 +745,9 @@ fn fmt_opt(v: Option<u64>) -> String {
 /// outcome changed (or that appear/disappear) become [`DecisionDelta`]s
 /// carrying the function's achieved cycle delta, ranked regressions
 /// first. Counters are deterministic, so every changed counter is a
-/// [`DeltaRow`]; stage times are wall-clock, so only growth past
-/// [`DiffGates::default`] is.
+/// [`DeltaRow`]; stage times are wall-clock, so only growth by more than
+/// 2x *and* more than 500 us is.
 pub fn diff(base: &AttribReport, new: &AttribReport) -> AttribDiff {
-    let gates = DiffGates::default();
     let base_fns: BTreeMap<String, &FunctionAttrib> =
         base.functions.iter().map(|f| (f.key(), f)).collect();
     let new_fns: BTreeMap<String, &FunctionAttrib> =
@@ -797,7 +782,7 @@ pub fn diff(base: &AttribReport, new: &AttribReport) -> AttribDiff {
                 .iter()
                 .find(|(k, _)| k == name)
                 .map_or(0.0, |(_, us)| *us);
-            if gates.regressed(b, *n) {
+            if stage_regressed(b, *n) {
                 out.stage_regressions.push(row(name, b, *n));
             }
         }

@@ -78,7 +78,7 @@ pub fn native_hot_timed(
         Err(JitError::Unsupported { .. }) | Err(JitError::Platform(_)) => return None,
     };
     let native = compiled.finalize().ok()?;
-    let (mut mem, values) = snslp_jit::materialize_args(args);
+    let (mut mem, values) = snslp_interp::materialize_args(args);
     let start = snslp_trace::clock::now_ns();
     let run = native
         .invoke(&values, &mut mem, &ExecOptions::default())
@@ -120,7 +120,7 @@ pub fn sampled_hot(
     let exec = ExecOptions::default();
     let start = std::time::Instant::now();
     loop {
-        let (mut mem, values) = snslp_jit::materialize_args(args);
+        let (mut mem, values) = snslp_interp::materialize_args(args);
         if native.invoke(&values, &mut mem, &exec).is_err() {
             sampler.stop();
             return None;

@@ -67,6 +67,16 @@ impl std::str::FromStr for SlpMode {
     }
 }
 
+/// Maximum use-def recursion depth while growing the graph.
+pub(crate) const MAX_DEPTH: u32 = 12;
+
+/// Maximum leaves per Super-Node (compile-time cap, paper §IV-C4: "we
+/// need to cap compilation time for large Super-Nodes").
+pub(crate) const MAX_SUPERNODE_LEAVES: usize = 32;
+
+/// Minimum reduction-tree leaves worth vectorizing.
+pub(crate) const MIN_REDUCTION_LEAVES: usize = 4;
+
 /// Tunable parameters of the vectorizer.
 #[derive(Debug, Clone)]
 pub struct SlpConfig {
@@ -77,13 +87,8 @@ pub struct SlpConfig {
     /// Vectorize only if the total graph cost is strictly below this
     /// threshold (paper: "usually 0"; lower = saving).
     pub threshold: i32,
-    /// Maximum use-def recursion depth while growing the graph.
-    pub max_depth: u32,
     /// Look-ahead recursion depth for LSLP operand scoring.
     pub lookahead_depth: u32,
-    /// Maximum leaves per Super-Node (compile-time cap, paper §IV-C4:
-    /// "we need to cap compilation time for large Super-Nodes").
-    pub max_supernode_leaves: usize,
     /// Allow trunk reordering in Super-Nodes (paper §IV-C3). Disabling
     /// this leaves only the restrictive leaf-APO rule of §IV-C2 — the
     /// ablation showing why trunk movement is needed (e.g. the Fig. 3
@@ -92,8 +97,6 @@ pub struct SlpConfig {
     /// Vectorize horizontal reduction trees (the paper's
     /// `-slp-vectorize-hor`, enabled for all configurations in §V).
     pub enable_reductions: bool,
-    /// Minimum reduction-tree leaves worth vectorizing.
-    pub min_reduction_leaves: usize,
     /// Run the IR verifier after every rewrite (slower; tests enable it).
     pub verify_after: bool,
     /// Retain the final DOT source of every attempted graph on its
@@ -112,12 +115,9 @@ impl SlpConfig {
             mode,
             model: CostModel::default(),
             threshold: 0,
-            max_depth: 12,
             lookahead_depth: 2,
-            max_supernode_leaves: 32,
             enable_trunk_reordering: true,
             enable_reductions: true,
-            min_reduction_leaves: 4,
             verify_after: false,
             keep_graph_dots: false,
         }
@@ -137,7 +137,9 @@ impl SlpConfig {
 
     /// Stable 64-bit fingerprint of every field that can change the
     /// pass's output: mode, thresholds and caps, feature toggles, and the
-    /// full cost model (target description + parameters).
+    /// full cost model (target description + parameters). The constant
+    /// caps are hashed too: a build with different caps must not share
+    /// cache keys with this one.
     ///
     /// Two configs with equal fingerprints compile any function to the
     /// same artifact, which is what lets the compile service fold the
@@ -154,12 +156,12 @@ impl SlpConfig {
         h.write_u64(1); // fingerprint schema version
         h.write(self.mode.label().as_bytes());
         h.write_i64(i64::from(self.threshold));
-        h.write_u64(u64::from(self.max_depth));
+        h.write_u64(u64::from(MAX_DEPTH));
         h.write_u64(u64::from(self.lookahead_depth));
-        h.write_u64(self.max_supernode_leaves as u64);
+        h.write_u64(MAX_SUPERNODE_LEAVES as u64);
         h.write_u8(u8::from(self.enable_trunk_reordering));
         h.write_u8(u8::from(self.enable_reductions));
-        h.write_u64(self.min_reduction_leaves as u64);
+        h.write_u64(MIN_REDUCTION_LEAVES as u64);
         h.write_u8(u8::from(self.verify_after));
         h.write_u8(u8::from(self.keep_graph_dots));
         let t = self.model.target();

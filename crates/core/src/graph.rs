@@ -5,7 +5,7 @@ use snslp_ir::FxHashMap;
 use snslp_ir::{BinOp, Function, InstId, InstKind, OpFamily};
 
 use crate::chain::{extract_chain, LaneChain, Sign};
-use crate::config::{SlpConfig, SlpMode};
+use crate::config::{SlpConfig, SlpMode, MAX_DEPTH, MAX_SUPERNODE_LEAVES};
 use crate::ctx::BlockCtx;
 use crate::lookahead::score_pair_with;
 use crate::score_cache::LruScoreCache;
@@ -420,7 +420,7 @@ impl GraphBuilder<'_> {
             return n;
         }
         snslp_trace::bump(snslp_trace::Counter::BundlesAttempted);
-        if depth > self.cfg.max_depth {
+        if depth > MAX_DEPTH {
             return self.gather(bundle, GatherWhy::DepthLimit);
         }
         // Uniform type?
@@ -825,7 +825,7 @@ impl GraphBuilder<'_> {
                 self.ctx,
                 root,
                 allow_inverse,
-                self.cfg.max_supernode_leaves,
+                MAX_SUPERNODE_LEAVES,
                 &move |i| covered.contains_key(&i) || local.contains(&i),
             )?;
             claimed_trunks.extend_from_slice(&chain.trunk);

@@ -12,11 +12,11 @@ use snslp_trace::{
 };
 
 use crate::codegen;
-use crate::config::{SlpConfig, SlpMode};
+use crate::config::{SlpConfig, SlpMode, MIN_REDUCTION_LEAVES};
 use crate::cost_eval;
 use crate::ctx::BlockCtx;
 use crate::dot::graph_to_dot_tagged;
-use crate::graph::{build_graph_cached, GatherWhy, SlpGraph};
+use crate::graph::{build_graph_cached, GatherWhy, NodeKind, SlpGraph};
 use crate::score_cache::LruScoreCache;
 use crate::seeds::collect_store_seeds;
 
@@ -359,34 +359,7 @@ pub fn run_slp(f: &mut Function, cfg: &SlpConfig) -> FunctionReport {
                 }
             }
             dot_hook(f, &graph, "final", f.name(), &bname, &site, &decision);
-            let mut stats = GraphStats {
-                decision: decision.clone(),
-                dot: keep_dot(f, &graph, cfg, f.name(), &bname, &site, &decision),
-                width: graph.width,
-                cost: cost.total,
-                vectorized: false,
-                num_nodes: graph.nodes.len(),
-                num_vector_nodes: graph.num_vector_nodes(),
-                num_gather_nodes: graph.num_gather_nodes(),
-                super_node_sizes: graph.super_node_sizes(),
-                leaf_moves: graph
-                    .nodes
-                    .iter()
-                    .filter_map(|n| match &n.kind {
-                        crate::graph::NodeKind::Super(i) => Some(i.leaf_moves),
-                        _ => None,
-                    })
-                    .sum(),
-                trunk_assisted_moves: graph
-                    .nodes
-                    .iter()
-                    .filter_map(|n| match &n.kind {
-                        crate::graph::NodeKind::Super(i) => Some(i.trunk_assisted_moves),
-                        _ => None,
-                    })
-                    .sum(),
-                emitted: Vec::new(),
-            };
+            let mut stats = graph_stats(f, &graph, cost.total, cfg, &bname, &site, &decision);
             let mut sched_detail: Option<String> = None;
             if cost.total < cfg.threshold {
                 let result = {
@@ -453,7 +426,7 @@ pub fn run_slp(f: &mut Function, cfg: &SlpConfig) -> FunctionReport {
                     crate::seeds::collect_reduction_seeds(
                         f,
                         &ctx,
-                        cfg.min_reduction_leaves,
+                        MIN_REDUCTION_LEAVES,
                         &processed_roots,
                     )
                 };
@@ -508,20 +481,7 @@ pub fn run_slp(f: &mut Function, cfg: &SlpConfig) -> FunctionReport {
                     cost_eval::evaluate(f, &ctx, &graph, &cfg.model)
                 };
                 dot_hook(f, &graph, "final", f.name(), &bname, &site, &decision);
-                let mut stats = GraphStats {
-                    decision: decision.clone(),
-                    dot: keep_dot(f, &graph, cfg, f.name(), &bname, &site, &decision),
-                    width,
-                    cost: cost.total,
-                    vectorized: false,
-                    num_nodes: graph.nodes.len(),
-                    num_vector_nodes: graph.num_vector_nodes(),
-                    num_gather_nodes: graph.num_gather_nodes(),
-                    super_node_sizes: graph.super_node_sizes(),
-                    leaf_moves: 0,
-                    trunk_assisted_moves: 0,
-                    emitted: Vec::new(),
-                };
+                let mut stats = graph_stats(f, &graph, cost.total, cfg, &bname, &site, &decision);
                 let mut sched_detail: Option<String> = None;
                 if cost.total < cfg.threshold {
                     let result = {
@@ -637,23 +597,45 @@ fn dot_hook(
     snslp_trace::artifact(&format!("dot.{stage}"), &file, &dot);
 }
 
-/// Final-stage DOT source retained on [`GraphStats`] when
-/// [`SlpConfig::keep_graph_dots`] asks for it; empty otherwise.
-#[allow(clippy::too_many_arguments)]
-fn keep_dot(
+/// The not-yet-committed stats row of one attempted graph, for store and
+/// reduction seeds alike: its shape, its Super-Nodes' leaf and
+/// trunk-assisted moves, and its final DOT source when
+/// [`SlpConfig::keep_graph_dots`] asks for it.
+fn graph_stats(
     f: &Function,
     graph: &SlpGraph,
+    cost: i32,
     cfg: &SlpConfig,
-    fn_name: &str,
     block: &str,
     site: &str,
     decision: &DecisionId,
-) -> String {
-    if !cfg.keep_graph_dots {
-        return String::new();
+) -> GraphStats {
+    let supers = || {
+        graph.nodes.iter().filter_map(|n| match &n.kind {
+            NodeKind::Super(info) => Some(info),
+            _ => None,
+        })
+    };
+    let dot = if cfg.keep_graph_dots {
+        let title = format!("@{}/{block}/{site} final", f.name());
+        graph_to_dot_tagged(f, graph, &title, Some(decision))
+    } else {
+        String::new()
+    };
+    GraphStats {
+        decision: decision.clone(),
+        dot,
+        width: graph.width,
+        cost,
+        vectorized: false,
+        num_nodes: graph.nodes.len(),
+        num_vector_nodes: graph.num_vector_nodes(),
+        num_gather_nodes: graph.num_gather_nodes(),
+        super_node_sizes: graph.super_node_sizes(),
+        leaf_moves: supers().map(|info| info.leaf_moves).sum(),
+        trunk_assisted_moves: supers().map(|info| info.trunk_assisted_moves).sum(),
+        emitted: Vec::new(),
     }
-    let title = format!("@{fn_name}/{block}/{site} final");
-    graph_to_dot_tagged(f, graph, &title, Some(decision))
 }
 
 /// Filesystem-safe version of an IR name (`%t12` → `t12`).

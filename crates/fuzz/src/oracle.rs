@@ -580,6 +580,33 @@ mod tests {
     }
 
     #[test]
+    fn reduction_graphs_report_their_supernode_moves() {
+        // In these cases every Super-Node move is made in a reduction
+        // graph (no store graph moves anything), so the per-graph sums
+        // must account for every move the counters saw.
+        for (index, modes) in [(1607, &ALL_MODES[1..]), (1783, &ALL_MODES[2..])] {
+            let case = generate(0xC60, index);
+            for &mode in modes {
+                let mut f = case.function.clone();
+                let report = run_slp(&mut f, &SlpConfig::new(mode));
+                let sum = |moves: fn(&snslp_core::GraphStats) -> usize| {
+                    report.graphs.iter().map(moves).sum::<usize>() as u64
+                };
+                let counted = (
+                    report.metrics.get(Counter::LeafMoves),
+                    report.metrics.get(Counter::TrunkAssistedMoves),
+                );
+                assert!(counted.0 > 0, "case {index} [{mode:?}] moves no leaf");
+                assert_eq!(
+                    (sum(|g| g.leaf_moves), sum(|g| g.trunk_assisted_moves)),
+                    counted,
+                    "case {index} [{mode:?}]: graph stats vs counters"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn trap_kinds_compare_strictly() {
         let a = Outcome::Trapped(Trap::DivisionByZero);
         let b = Outcome::Trapped(Trap::OutOfBounds(64));

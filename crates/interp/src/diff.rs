@@ -134,6 +134,28 @@ pub fn module_inputs(source: &str, f: &Function) -> Result<Vec<ArgSpec>, String>
     }
 }
 
+/// Materializes `args` in a fresh memory: arrays are allocated in
+/// argument order and passed as [`Value::Ptr`]s, scalars by value. Doing
+/// it twice with the same specs yields byte-identical layouts, which is
+/// what lets two executions' whole memory images be compared.
+pub fn materialize_args(args: &[ArgSpec]) -> (Memory, Vec<Value>) {
+    let mut mem = Memory::new();
+    let values = args
+        .iter()
+        .map(|a| match a {
+            ArgSpec::F64Array(d) => Value::Ptr(mem.alloc_slice_f64(d)),
+            ArgSpec::F32Array(d) => Value::Ptr(mem.alloc_slice_f32(d)),
+            ArgSpec::I32Array(d) => Value::Ptr(mem.alloc_slice_i32(d)),
+            ArgSpec::I64Array(d) => Value::Ptr(mem.alloc_slice_i64(d)),
+            ArgSpec::I64(v) => Value::I64(*v),
+            ArgSpec::I32(v) => Value::I32(*v),
+            ArgSpec::F64(v) => Value::F64(*v),
+            ArgSpec::F32(v) => Value::F32(*v),
+        })
+        .collect();
+    (mem, values)
+}
+
 /// Materializes `args` in a fresh memory, runs `f`, and reads the arrays
 /// back.
 ///
@@ -146,59 +168,22 @@ pub fn run_with_args(
     model: &CostModel,
     opts: &ExecOptions,
 ) -> Result<RunOutcome, ExecError> {
-    let mut mem = Memory::new();
-    let mut values = Vec::with_capacity(args.len());
-    let mut array_locs: Vec<Option<(u64, &ArgSpec)>> = Vec::with_capacity(args.len());
-    for a in args {
-        match a {
-            ArgSpec::F64Array(d) => {
-                let base = mem.alloc_slice_f64(d);
-                values.push(Value::Ptr(base));
-                array_locs.push(Some((base, a)));
-            }
-            ArgSpec::F32Array(d) => {
-                let base = mem.alloc_slice_f32(d);
-                values.push(Value::Ptr(base));
-                array_locs.push(Some((base, a)));
-            }
-            ArgSpec::I32Array(d) => {
-                let base = mem.alloc_slice_i32(d);
-                values.push(Value::Ptr(base));
-                array_locs.push(Some((base, a)));
-            }
-            ArgSpec::I64Array(d) => {
-                let base = mem.alloc_slice_i64(d);
-                values.push(Value::Ptr(base));
-                array_locs.push(Some((base, a)));
-            }
-            ArgSpec::I64(v) => {
-                values.push(Value::I64(*v));
-                array_locs.push(None);
-            }
-            ArgSpec::I32(v) => {
-                values.push(Value::I32(*v));
-                array_locs.push(None);
-            }
-            ArgSpec::F64(v) => {
-                values.push(Value::F64(*v));
-                array_locs.push(None);
-            }
-            ArgSpec::F32(v) => {
-                values.push(Value::F32(*v));
-                array_locs.push(None);
-            }
-        }
-    }
+    let (mut mem, values) = materialize_args(args);
     let exec = run(f, &values, &mut mem, model, opts)?;
-    let arrays = array_locs
-        .into_iter()
-        .flatten()
-        .map(|(base, spec)| match spec {
-            ArgSpec::F64Array(d) => ArrayData::F64(mem.read_slice_f64(base, d.len())),
-            ArgSpec::F32Array(d) => ArrayData::F32(mem.read_slice_f32(base, d.len())),
-            ArgSpec::I32Array(d) => ArrayData::I32(mem.read_slice_i32(base, d.len())),
-            ArgSpec::I64Array(d) => ArrayData::I64(mem.read_slice_i64(base, d.len())),
-            _ => unreachable!(),
+    let arrays = args
+        .iter()
+        .zip(&values)
+        .filter_map(|(spec, value)| {
+            let &Value::Ptr(base) = value else {
+                return None;
+            };
+            Some(match spec {
+                ArgSpec::F64Array(d) => ArrayData::F64(mem.read_slice_f64(base, d.len())),
+                ArgSpec::F32Array(d) => ArrayData::F32(mem.read_slice_f32(base, d.len())),
+                ArgSpec::I32Array(d) => ArrayData::I32(mem.read_slice_i32(base, d.len())),
+                ArgSpec::I64Array(d) => ArrayData::I64(mem.read_slice_i64(base, d.len())),
+                _ => unreachable!("only arrays are passed by pointer"),
+            })
         })
         .collect();
     Ok(RunOutcome { exec, arrays })

@@ -41,8 +41,8 @@ pub mod profile;
 pub mod value;
 
 pub use diff::{
-    check_equivalent, module_inputs, outcomes_match, parse_inputs_line, run_with_args, ArgSpec,
-    ArrayData, RunOutcome,
+    check_equivalent, materialize_args, module_inputs, outcomes_match, parse_inputs_line,
+    run_with_args, ArgSpec, ArrayData, RunOutcome,
 };
 pub use exec::{run, ExecError, ExecOptions, ExecResult, Trap};
 pub use memory::Memory;

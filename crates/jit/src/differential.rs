@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use snslp_cost::CostModel;
-use snslp_interp::{run, ArgSpec, ExecOptions, Memory, Value};
+use snslp_interp::{materialize_args, run, ArgSpec, ExecOptions, Memory, Value};
 use snslp_ir::Function;
 use snslp_trace::DecisionId;
 
@@ -29,29 +29,6 @@ pub enum BackendDiff {
     },
     /// Both backends ran and every observable matched bit-exactly.
     Agreed,
-}
-
-/// Materializes `args` exactly as [`snslp_interp::run_with_args`] does:
-/// fresh memory, arrays allocated in argument order. Doing it twice with
-/// the same specs yields byte-identical layouts, which is what makes the
-/// whole-image comparison meaningful. Public so the bench harness can
-/// rebuild identical inputs for repeated wall-clock invocations.
-pub fn materialize_args(args: &[ArgSpec]) -> (Memory, Vec<Value>) {
-    let mut mem = Memory::new();
-    let mut values = Vec::with_capacity(args.len());
-    for a in args {
-        match a {
-            ArgSpec::F64Array(d) => values.push(Value::Ptr(mem.alloc_slice_f64(d))),
-            ArgSpec::F32Array(d) => values.push(Value::Ptr(mem.alloc_slice_f32(d))),
-            ArgSpec::I32Array(d) => values.push(Value::Ptr(mem.alloc_slice_i32(d))),
-            ArgSpec::I64Array(d) => values.push(Value::Ptr(mem.alloc_slice_i64(d))),
-            ArgSpec::I64(v) => values.push(Value::I64(*v)),
-            ArgSpec::I32(v) => values.push(Value::I32(*v)),
-            ArgSpec::F64(v) => values.push(Value::F64(*v)),
-            ArgSpec::F32(v) => values.push(Value::F32(*v)),
-        }
-    }
-    (mem, values)
 }
 
 fn bits_eq(a: &Value, b: &Value) -> bool {

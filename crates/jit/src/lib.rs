@@ -76,10 +76,13 @@ use snslp_trace::{add, bump, Counter, DecisionId, ReasonCode, Remark, Span};
 use exec_mem::ExecMem;
 use runtime::{status, JitCtx, RET_BUF_BYTES};
 
-pub use differential::{check_backends, check_hotness, materialize_args, BackendDiff};
+pub use differential::{check_backends, check_hotness, BackendDiff};
 pub use hot::{HotMode, HotProfile, InstHot, StubHot};
 pub use lower::{LowerError, LowerOptions};
 pub use pcmap::{PcKind, PcMap, PcRange};
+/// Re-exported for callers that rebuild a run's inputs for repeated
+/// native invocations.
+pub use snslp_interp::materialize_args;
 
 /// Which engine executes committed IR.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

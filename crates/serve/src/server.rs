@@ -359,6 +359,15 @@ impl ServerState {
         snslp_trace::prof::flush_thread(&format!("serve-worker-{idx}"));
     }
 
+    /// Lets every worker exit once the queue is drained.
+    fn stop_workers(&self) {
+        {
+            let _queue = self.lock_queue();
+            self.stop.store(true, Ordering::Relaxed);
+        }
+        self.queue_cv.notify_all();
+    }
+
     /// Compiles one request's module through the cached driver, renders
     /// and memoizes its reply.
     fn run_job(&self, mut job: Job) {
@@ -716,11 +725,7 @@ impl Server {
 
     /// Stops workers and the accept loop, removes the socket file.
     pub fn shutdown(self) {
-        {
-            let _queue = self.state.lock_queue();
-            self.state.stop.store(true, Ordering::Relaxed);
-        }
-        self.state.queue_cv.notify_all();
+        self.state.stop_workers();
         for w in self.workers {
             let _ = w.join();
         }
@@ -728,5 +733,113 @@ impl Server {
             let _ = handle.join();
             let _ = std::fs::remove_file(path);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Read;
+
+    use super::*;
+    use crate::{Client, Reply, STATUS_OK};
+
+    const MODE: &str = "snslp";
+    const TARGET: &str = "avx2";
+    const FLOOD: usize = 60;
+
+    /// An in-memory request stream that drops `drained` once the
+    /// connection has read all of it.
+    struct Flood<'a> {
+        bytes: &'a [u8],
+        drained: Option<mpsc::Sender<()>>,
+    }
+
+    impl Read for Flood<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.bytes.read(buf)?;
+            if n == 0 {
+                self.drained = None;
+            }
+            Ok(n)
+        }
+    }
+
+    /// Floods a one-worker server far past its in-flight limit and checks
+    /// the backpressure contract: overload yields `busy` replies, never
+    /// dropped or swallowed requests; replies come back in request order;
+    /// and every accepted request gets the bytes an unloaded server sends.
+    /// The worker starts only after the connection has read, and admitted
+    /// or refused, the whole flood, so the overload is certain.
+    #[test]
+    fn flood_past_inflight_limit_yields_busy_not_drops() {
+        let cfg = ServeConfig {
+            workers: 1,
+            max_inflight: 4,
+            ..ServeConfig::default()
+        };
+        // Distinct module texts: no two requests share cache entries.
+        let modules: Vec<String> = (0..FLOOD as u64)
+            .map(|i| {
+                (0..4)
+                    .map(|k| format!("{}\n", snslp_fuzz::generate(0xF100D, i * 4 + k).function))
+                    .collect()
+            })
+            .collect();
+        let requests: String = (modules.iter().enumerate())
+            .map(|(i, text)| Request::render_compile(i as u64, text, MODE, TARGET, &[]) + "\n")
+            .collect();
+
+        let state = Arc::new(ServerState::new(cfg.clone()));
+        let (drained, read_all) = mpsc::channel::<()>();
+        let mut out = Vec::new();
+        std::thread::scope(|s| {
+            let worker_state = state.clone();
+            s.spawn(move || {
+                // Returns once the flood's sender is dropped at EOF.
+                let _ = read_all.recv();
+                worker_state.worker(0);
+            });
+            let flood = Flood {
+                bytes: requests.as_bytes(),
+                drained: Some(drained),
+            };
+            serve_connection(&state, BufReader::new(flood), &mut out);
+            state.stop_workers();
+        });
+
+        // One reply per request, in request order.
+        let replies: Vec<Reply> = (String::from_utf8(out).expect("utf-8 replies").lines())
+            .map(|raw| Reply::parse(raw).expect("parse reply"))
+            .collect();
+        let ids: Vec<u64> = replies.iter().map(|r| r.id).collect();
+        assert_eq!(ids, (0..FLOOD as u64).collect::<Vec<_>>());
+
+        // Only ok and busy replies: the first `max_inflight` requests are
+        // admitted, every later one is refused.
+        let ok: Vec<u64> = (replies.iter().filter(|r| r.status == STATUS_OK))
+            .map(|r| r.id)
+            .collect();
+        let busy = replies.iter().filter(|r| r.status == STATUS_BUSY).count();
+        assert_eq!(ok, [0, 1, 2, 3], "admitted requests");
+        assert_eq!(busy, FLOOD - 4, "refused requests");
+        assert_eq!(state.busy_replies(), busy as u64, "busy counter");
+        // Admission is the job queue's only bound: it fills to the limit
+        // and never past it.
+        let gauges = state.telemetry_snapshot().gauges;
+        assert_eq!(gauges.peak_queue_depth, cfg.max_inflight as u64);
+
+        // Every accepted request produced the bytes an unloaded server
+        // produces for that module (same id, so full byte identity).
+        let reference = Server::start(ServeConfig::default());
+        let mut client = Client::from_stream(reference.connect_in_process().expect("connect"));
+        for &id in &ok {
+            let line = Request::render_compile(id, &modules[id as usize], MODE, TARGET, &[]);
+            let expected = client.round_trip(&line).expect("reference round trip");
+            assert_eq!(
+                expected.raw, replies[id as usize].raw,
+                "request {id} under load"
+            );
+        }
+        reference.shutdown();
     }
 }
