@@ -6,9 +6,10 @@
 //! [`collect_hot`] drives every registry kernel through all four
 //! pipelines, compiles each variant with instrumented-hotness lowering,
 //! runs it natively, and cross-checks the exact reconciliation invariant
-//! (native per-class execution counts == interpreter [`DynProfile`]
-//! totals) before a row may enter the artifact. [`HotDoc::from_json`]
-//! re-verifies everything a reader can check without re-running:
+//! (native per-class execution counts == interpreter
+//! [`DynProfile`](snslp_interp::DynProfile) totals) before a row may
+//! enter the artifact. [`HotDoc::from_json`] re-verifies everything a
+//! reader can check without re-running:
 //! PC-range partition, per-class sums, count/block-counter consistency,
 //! and the sample/wall cross-invariants.
 

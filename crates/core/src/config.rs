@@ -168,18 +168,18 @@ impl SlpConfig {
         h.write(t.name().as_bytes());
         h.write_u64(u64::from(t.register_bits()));
         h.write_u8(u8::from(t.has_lanewise_altop()));
-        let p = self.model.params();
+        use snslp_cost::params as p;
         for v in [
-            p.binop,
-            p.div,
-            p.sqrt,
-            p.load,
-            p.store,
-            p.insert,
-            p.extract,
-            p.shuffle,
-            p.altop_penalty,
-            p.altop_emulation_penalty,
+            p::BINOP,
+            p::DIV,
+            p::SQRT,
+            p::LOAD,
+            p::STORE,
+            p::INSERT,
+            p::EXTRACT,
+            p::SHUFFLE,
+            p::ALTOP_PENALTY,
+            p::ALTOP_EMULATION_PENALTY,
         ] {
             h.write_i64(i64::from(v));
         }

@@ -5,7 +5,7 @@
 //! whose value is still needed outside the vector code. Negative totals
 //! are savings; the pass vectorizes when `total < threshold` (usually 0).
 
-use snslp_cost::CostModel;
+use snslp_cost::{params, CostModel};
 use snslp_ir::{Function, InstId, InstKind, Type};
 
 use crate::chain::Sign;
@@ -89,25 +89,25 @@ fn node_cost(f: &Function, node: &Node, width: u8, model: &CostModel) -> i32 {
             if matches!(f.kind(node.scalars[0]), InstKind::Load { .. }) {
                 0
             } else {
-                model.params().shuffle
+                params::SHUFFLE
             }
         }
         NodeKind::Gather {
             kind: GatherKind::Generic,
             ..
         } => model.gather_cost(width),
-        NodeKind::Permute { .. } => model.params().shuffle,
+        NodeKind::Permute { .. } => params::SHUFFLE,
         NodeKind::Load => {
-            let scalar: i32 = w * model.params().load;
-            model.params().load - scalar
+            let scalar: i32 = w * params::LOAD;
+            params::LOAD - scalar
         }
         NodeKind::LoadReversed => {
-            let scalar: i32 = w * model.params().load;
-            model.params().load + model.params().shuffle - scalar
+            let scalar: i32 = w * params::LOAD;
+            params::LOAD + params::SHUFFLE - scalar
         }
         NodeKind::Store => {
-            let scalar: i32 = w * model.params().store;
-            model.params().store - scalar
+            let scalar: i32 = w * params::STORE;
+            params::STORE - scalar
         }
         NodeKind::Vector => {
             let scalar: i32 = node.scalars.iter().map(|&s| model.compile_cost(f, s)).sum();
@@ -144,7 +144,7 @@ fn node_cost(f: &Function, node: &Node, width: u8, model: &CostModel) -> i32 {
             let groups = node.operands.len() as i32;
             let log2 = (width as f64).log2() as i32;
             let mut vec_cost = (groups - 1) * op_cost;
-            vec_cost += log2 * (model.params().shuffle + op_cost);
+            vec_cost += log2 * (params::SHUFFLE + op_cost);
             vec_cost += model.extract_cost();
             vec_cost += info.leftover.len() as i32 * op_cost;
             vec_cost - scalar

@@ -11,21 +11,25 @@
 //! - **users** are a CSR (offsets + data) layout over the arena instead
 //!   of one `Vec` allocation per instruction;
 //! - **dependence** queries are answered from a transitive-reachability
-//!   bitset (one row of block-position bits per instruction), built in a
-//!   single forward pass; `depends_on` is then two array reads and a bit
-//!   test instead of a DFS;
+//!   bitset (one row of block-position bits per instruction). In a loop
+//!   body the header phis read values defined later in the block, so the
+//!   rows are the least fixpoint of the use-def edges: one forward pass
+//!   when every in-block operand comes earlier, repeated passes until no
+//!   row grows otherwise. `depends_on` never walks the IR;
 //! - **aliasing** range queries binary-search a position-sorted memory-op
 //!   index, answering in O(log n + k) for k memory ops in the range
-//!   instead of rescanning every memory op of the block.
+//!   instead of rescanning every memory op of the block;
+//! - **look-ahead scores** are memoized in a [`ScoreMemo`] that lives
+//!   exactly as long as the context, so a rewrite, which forces a new
+//!   context, also retires every score computed over the old body.
 //!
-//! The scan-based dependence query survives as
-//! [`BlockCtx::depends_on_scan`]: it is the fallback for IR that is not
-//! def-before-use ordered within the block, and the reference the
-//! property tests compare the bitset against. The aliasing queries'
-//! linear-scan references live with those tests.
+//! The dependence and aliasing queries' DFS and linear-scan references
+//! live with the tests that compare them against the indexes.
 
 use snslp_ir::analysis::{may_alias, MemLoc};
 use snslp_ir::{BlockId, Function, InstId, InstKind};
+
+use crate::lookahead::ScoreMemo;
 
 /// Sentinel position for "not an instruction of this block".
 const NOT_IN_BLOCK: u32 = u32::MAX;
@@ -44,8 +48,9 @@ struct MemOp {
 }
 
 /// Cached per-block facts: instruction positions, use counts, users,
-/// memory locations, transitive-dependence reachability, and a sorted
-/// memory-op interval index.
+/// memory locations, transitive-dependence reachability, a sorted
+/// memory-op interval index, and the look-ahead score memo. Valid only
+/// while the function body is unchanged.
 #[derive(Debug)]
 pub struct BlockCtx {
     /// The block under analysis.
@@ -63,14 +68,14 @@ pub struct BlockCtx {
     /// The block's memory operations sorted by position.
     mem_ops: Vec<MemOp>,
     /// Transitive in-block reachability: row `i` (at `reach[i * words..]`)
-    /// has bit `j` set iff the instruction at position `i` transitively
-    /// depends on the instruction at position `j` through use-def edges
-    /// within the block. `None` when the block is not def-before-use
-    /// ordered (forward references), in which case queries fall back to
-    /// the DFS scan.
-    reach: Option<Vec<u64>>,
+    /// has bit `j` set iff the instruction at position `i` reaches the
+    /// instruction at position `j` through one or more use-def edges
+    /// within the block, phi operands included.
+    reach: Vec<u64>,
     /// Words per reachability row.
     reach_words: usize,
+    /// Look-ahead scores computed over this body.
+    memo: ScoreMemo,
 }
 
 impl BlockCtx {
@@ -123,36 +128,38 @@ impl BlockCtx {
             }
         }
 
-        // Transitive reachability over in-block use-def edges. Valid in
-        // one forward pass when every in-block operand is defined at an
-        // earlier position; a forward reference voids the index.
+        // Transitive reachability over in-block use-def edges: the least
+        // fixpoint of row(i) = ⋃ over in-block operands j of ({j} ∪ row(j)).
+        // When every operand comes earlier, one forward pass reaches it;
+        // a later operand (a loop phi's back edge) needs passes until no
+        // row grows.
         let words = n.div_ceil(64);
         let mut reach = vec![0u64; n * words];
-        let mut ordered = true;
-        'build: for (i, &id) in insts.iter().enumerate() {
-            let mut ops_ok = true;
-            f.kind(id).for_each_operand(|op| {
-                let j = pos[op.index()];
-                if j != NOT_IN_BLOCK && j as usize >= i {
-                    ops_ok = false;
-                }
-            });
-            if !ops_ok {
-                ordered = false;
-                break 'build;
-            }
-            let (done, row) = reach.split_at_mut(i * words);
-            let row = &mut row[..words];
-            f.kind(id).for_each_operand(|op| {
-                let j = pos[op.index()];
-                if j != NOT_IN_BLOCK {
-                    let j = j as usize;
-                    for (w, &src) in row.iter_mut().zip(&done[j * words..(j + 1) * words]) {
-                        *w |= src;
+        loop {
+            let mut forward_ref = false;
+            let mut grew = false;
+            for (i, &id) in insts.iter().enumerate() {
+                f.kind(id).for_each_operand(|op| {
+                    let j = pos[op.index()];
+                    if j == NOT_IN_BLOCK {
+                        return;
                     }
-                    row[j / 64] |= 1u64 << (j % 64);
-                }
-            });
+                    let j = j as usize;
+                    forward_ref |= j >= i;
+                    for w in 0..words {
+                        let mut bits = reach[j * words + w];
+                        if w == j / 64 {
+                            bits |= 1u64 << (j % 64);
+                        }
+                        let row = &mut reach[i * words + w];
+                        grew |= bits & !*row != 0;
+                        *row |= bits;
+                    }
+                });
+            }
+            if !forward_ref || !grew {
+                break;
+            }
         }
 
         BlockCtx {
@@ -163,8 +170,9 @@ impl BlockCtx {
             use_counts,
             memlocs,
             mem_ops,
-            reach: ordered.then_some(reach),
+            reach,
             reach_words: words,
+            memo: ScoreMemo::default(),
         }
     }
 
@@ -200,93 +208,56 @@ impl BlockCtx {
         self.memlocs[id.index()].as_ref()
     }
 
+    /// The look-ahead score memo for this body.
+    #[inline]
+    pub fn memo(&self) -> &ScoreMemo {
+        &self.memo
+    }
+
     /// Whether `a` (transitively) depends on `b` through use-def edges
-    /// within this block. Used to reject bundles whose lanes depend on
-    /// each other. Answered from the reachability bitset when both values
-    /// are block instructions; otherwise (or when the block has forward
-    /// references) via [`BlockCtx::depends_on_scan`].
+    /// within this block: whether `b` is an operand of `a` or of an
+    /// in-block instruction `a` reaches through in-block operands. Used
+    /// to reject bundles whose lanes depend on each other.
     pub fn depends_on(&self, f: &Function, a: InstId, b: InstId) -> bool {
         if a == b {
             return true;
         }
-        if let Some(reach) = &self.reach {
-            let (pa, pb) = (self.pos[a.index()], self.pos[b.index()]);
-            if pa != NOT_IN_BLOCK && pb != NOT_IN_BLOCK {
-                let (i, j) = (pa as usize, pb as usize);
-                return reach[i * self.reach_words + j / 64] & (1u64 << (j % 64)) != 0;
-            }
-            if pa == NOT_IN_BLOCK {
-                // The scan would test `a`'s direct operands and then
-                // traverse only its in-block operands; without any, the
-                // direct test is the whole answer (the common case:
-                // constants and other out-of-block bundle lanes).
-                let mut direct = false;
-                let mut has_in_block_op = false;
-                f.kind(a).for_each_operand(|op| {
-                    direct |= op == b;
-                    has_in_block_op |= self.in_block(op);
-                });
-                if direct {
-                    return true;
-                }
-                if !has_in_block_op {
-                    return false;
-                }
-            } else {
-                // `a` is a block instruction but `b` is not: `a` depends
-                // on `b` iff `b` is a direct operand of `a` or of any
-                // instruction in `a`'s in-block reachability cone — the
-                // exact set the scan visits, read off the bitset row.
-                let mut found = false;
-                f.kind(a).for_each_operand(|op| found |= op == b);
-                if found {
-                    return true;
-                }
-                let insts = f.block(self.block).insts();
-                let row = &reach[pa as usize * self.reach_words..][..self.reach_words];
-                for (w, &word) in row.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        let j = w * 64 + bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        f.kind(insts[j]).for_each_operand(|op| found |= op == b);
-                        if found {
-                            return true;
-                        }
-                    }
-                }
-                return false;
-            }
+        if let Some(i) = self.pos_of(a) {
+            return self.reaches(f, i, b);
         }
-        self.depends_on_scan(f, a, b)
+        // `a` lies outside the block (a constant, a parameter, another
+        // block's value), so its cone is its in-block operands' cones.
+        let mut found = false;
+        f.kind(a).for_each_operand(|op| {
+            found = found || op == b || self.pos_of(op).is_some_and(|j| self.reaches(f, j, b));
+        });
+        found
     }
 
-    /// Reference implementation of [`BlockCtx::depends_on`]: an explicit
-    /// DFS over use-def edges with a dense visited map (the historical
-    /// `Vec::contains` visited scan was O(n²) on deep chains).
-    pub fn depends_on_scan(&self, f: &Function, a: InstId, b: InstId) -> bool {
-        if a == b {
-            return true;
+    /// Whether the instruction at position `i` depends on `b`, read off
+    /// its reachability row.
+    fn reaches(&self, f: &Function, i: usize, b: InstId) -> bool {
+        let row = &self.reach[i * self.reach_words..][..self.reach_words];
+        if let Some(j) = self.pos_of(b) {
+            return row[j / 64] & (1u64 << (j % 64)) != 0;
         }
-        let mut stack = vec![a];
-        let mut seen = vec![false; f.num_inst_slots()];
-        seen[a.index()] = true;
-        let mut found = false;
-        while let Some(cur) = stack.pop() {
-            f.kind(cur).for_each_operand(|op| {
-                if op == b {
-                    found = true;
-                }
-                if self.in_block(op) && !seen[op.index()] {
-                    seen[op.index()] = true;
-                    stack.push(op);
-                }
-            });
-            if found {
-                return true;
+        // `b` lies outside the block: it must be a direct operand of the
+        // instruction or of one it reaches.
+        let insts = f.block(self.block).insts();
+        let uses_b = |id: InstId| {
+            let mut used = false;
+            f.kind(id).for_each_operand(|op| used |= op == b);
+            used
+        };
+        let mut found = uses_b(insts[i]);
+        for (w, &word) in row.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 && !found {
+                found = uses_b(insts[w * 64 + bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
             }
         }
-        false
+        found
     }
 
     /// The memory ops with positions strictly inside `(lo, hi)`.
@@ -345,6 +316,30 @@ mod tests {
     use super::*;
     use snslp_ir::{FunctionBuilder, Param, ScalarType, Type};
 
+    /// Reference for [`BlockCtx::depends_on`]: a DFS over use-def edges
+    /// from `a`, through in-block operands only, that looks for `b` among
+    /// the operands of every instruction it visits.
+    fn depends_on_scan(ctx: &BlockCtx, f: &Function, a: InstId, b: InstId) -> bool {
+        if a == b {
+            return true;
+        }
+        let mut stack = vec![a];
+        let mut seen = vec![false; f.num_inst_slots()];
+        seen[a.index()] = true;
+        while let Some(cur) = stack.pop() {
+            for op in f.kind(cur).operands() {
+                if op == b {
+                    return true;
+                }
+                if ctx.in_block(op) && !seen[op.index()] {
+                    seen[op.index()] = true;
+                    stack.push(op);
+                }
+            }
+        }
+        false
+    }
+
     /// Reference for [`BlockCtx::aliasing_store_within`]: a linear scan
     /// over every memory op of the block.
     fn aliasing_store_within_scan(
@@ -387,7 +382,6 @@ mod tests {
         fb.ret(None);
         let f = fb.finish();
         let ctx = BlockCtx::compute(&f, f.entry());
-        assert!(ctx.reach.is_some(), "builder IR is def-before-use");
         assert!(ctx.depends_on(&f, c, a));
         assert!(ctx.depends_on(&f, b, a));
         assert!(!ctx.depends_on(&f, a, b));
@@ -412,7 +406,7 @@ mod tests {
             for &b in &vals {
                 assert_eq!(
                     ctx.depends_on(&f, a, b),
-                    ctx.depends_on_scan(&f, a, b),
+                    depends_on_scan(&ctx, &f, a, b),
                     "bitset vs DFS disagree on ({a:?}, {b:?})"
                 );
             }
@@ -422,7 +416,7 @@ mod tests {
     #[test]
     fn depends_on_out_of_block_operand() {
         // b (the dependence target) is a parameter, not a block
-        // instruction: the bitset cannot answer, the scan must.
+        // instruction: it is found among the operands of the row.
         let mut fb = FunctionBuilder::new("t", vec![Param::noalias_ptr("p")], Type::Void);
         let p = fb.func().param(0);
         let a = fb.load(ScalarType::F64, p);
@@ -432,7 +426,65 @@ mod tests {
         let f = fb.finish();
         let ctx = BlockCtx::compute(&f, f.entry());
         assert!(ctx.depends_on(&f, s, p), "s uses p through the load");
-        assert_eq!(ctx.depends_on(&f, s, p), ctx.depends_on_scan(&f, s, p));
+        assert_eq!(ctx.depends_on(&f, s, p), depends_on_scan(&ctx, &f, s, p));
+    }
+
+    #[test]
+    fn loop_body_index_matches_scan() {
+        // The header phi reads `inext`, defined later in its own block, so
+        // the rows need the back edge: a single forward pass misses it.
+        let mut fb = FunctionBuilder::new(
+            "loopy",
+            vec![
+                Param::noalias_ptr("a"),
+                Param::new("n", Type::scalar(ScalarType::I64)),
+            ],
+            Type::Void,
+        );
+        let a = fb.func().param(0);
+        let n = fb.func().param(1);
+        let mut sum = None;
+        fb.counted_loop(n, |fb, i| {
+            let eight = fb.const_i64(8);
+            let off = fb.mul(i, eight);
+            let p = fb.ptradd(a, off);
+            let v = fb.load(ScalarType::F64, p);
+            let s = fb.add(v, v);
+            fb.store(p, s);
+            sum = Some(s);
+        });
+        // Out of the loop block, with operands in it.
+        let after = fb.add(sum.unwrap(), sum.unwrap());
+        fb.store(a, after);
+        fb.ret(None);
+        let f = fb.finish();
+        let header = f.block_ids().nth(1).unwrap();
+        let insts = f.block(header).insts().to_vec();
+        let phi = insts[0];
+        let ctx = BlockCtx::compute(&f, header);
+        let incoming = f.kind(phi).operands();
+        let (zero, inext) = (incoming[0], incoming[1]);
+        assert!(!ctx.in_block(zero) && ctx.in_block(inext));
+        // The index holds the cycle: the phi reaches `inext` over the back
+        // edge, and through it itself.
+        let row_has =
+            |i: usize, j: usize| ctx.reach[i * ctx.reach_words + j / 64] >> (j % 64) & 1 != 0;
+        let (pp, pn) = (ctx.pos_of(phi).unwrap(), ctx.pos_of(inext).unwrap());
+        assert!(pn > pp && row_has(pp, pn) && row_has(pp, pp) && row_has(pn, pp));
+        assert!(ctx.depends_on(&f, inext, zero), "through the back edge");
+        assert!(ctx.depends_on(&f, after, phi), "out-of-block user");
+        assert!(!ctx.depends_on(&f, phi, a));
+        let mut vals = insts.clone();
+        vals.extend([a, n, zero, after]);
+        for &x in &vals {
+            for &y in &vals {
+                assert_eq!(
+                    ctx.depends_on(&f, x, y),
+                    depends_on_scan(&ctx, &f, x, y),
+                    "bitset vs DFS disagree on ({x:?}, {y:?})"
+                );
+            }
+        }
     }
 
     #[test]

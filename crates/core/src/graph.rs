@@ -7,9 +7,7 @@ use snslp_ir::{BinOp, Function, InstId, InstKind, OpFamily};
 use crate::chain::{extract_chain, LaneChain, Sign};
 use crate::config::{SlpConfig, SlpMode, MAX_DEPTH, MAX_SUPERNODE_LEAVES};
 use crate::ctx::BlockCtx;
-use crate::lookahead::score_pair_with;
-use crate::score_cache::LruScoreCache;
-use crate::supernode::{plan_supernode_cached, SuperNodePlan};
+use crate::supernode::{plan_supernode, SuperNodePlan};
 
 /// Index of a node within an [`SlpGraph`].
 pub type NodeId = usize;
@@ -263,30 +261,10 @@ impl SlpGraph {
     }
 }
 
-/// Builds the SLP graph for `seeds` (a bundle of adjacent stores).
+/// Builds the SLP graph for `seeds` (a bundle of adjacent stores),
+/// scoring operand pairs through `ctx`'s look-ahead memo.
 pub fn build_graph(f: &Function, ctx: &BlockCtx, cfg: &SlpConfig, seeds: &[InstId]) -> SlpGraph {
-    build_graph_cached(f, ctx, cfg, seeds, None)
-}
-
-/// [`build_graph`] with an optional memoized look-ahead score cache,
-/// shared across the graphs the pass builds over one unchanged function
-/// (mode fallbacks and half-width retries re-score the same pairs).
-pub fn build_graph_cached(
-    f: &Function,
-    ctx: &BlockCtx,
-    cfg: &SlpConfig,
-    seeds: &[InstId],
-    cache: Option<&LruScoreCache>,
-) -> SlpGraph {
-    let mut b = GraphBuilder {
-        f,
-        ctx,
-        cfg,
-        cache,
-        nodes: Vec::new(),
-        bundle_map: FxHashMap::default(),
-        covered: FxHashMap::default(),
-    };
+    let mut b = GraphBuilder::new(f, ctx, cfg);
     let root = b.build_bundle(seeds.to_vec(), 0);
     debug_assert_eq!(root, 0);
     SlpGraph {
@@ -306,28 +284,7 @@ pub fn build_reduction_graph(
     seed: &crate::seeds::ReductionSeed,
     width: u8,
 ) -> SlpGraph {
-    build_reduction_graph_cached(f, ctx, cfg, seed, width, None)
-}
-
-/// [`build_reduction_graph`] with an optional memoized look-ahead score
-/// cache (see [`build_graph_cached`]).
-pub fn build_reduction_graph_cached(
-    f: &Function,
-    ctx: &BlockCtx,
-    cfg: &SlpConfig,
-    seed: &crate::seeds::ReductionSeed,
-    width: u8,
-    cache: Option<&LruScoreCache>,
-) -> SlpGraph {
-    let mut b = GraphBuilder {
-        f,
-        ctx,
-        cfg,
-        cache,
-        nodes: Vec::new(),
-        bundle_map: FxHashMap::default(),
-        covered: FxHashMap::default(),
-    };
+    let mut b = GraphBuilder::new(f, ctx, cfg);
     let full_groups = seed.leaves.len() / width as usize;
     let leftover: Vec<InstId> = seed.leaves[full_groups * width as usize..].to_vec();
     let root = b.add_node(Node {
@@ -360,13 +317,23 @@ struct GraphBuilder<'a> {
     f: &'a Function,
     ctx: &'a BlockCtx,
     cfg: &'a SlpConfig,
-    cache: Option<&'a LruScoreCache>,
     nodes: Vec<Node>,
     bundle_map: FxHashMap<Vec<InstId>, NodeId>,
     covered: FxHashMap<InstId, NodeId>,
 }
 
-impl GraphBuilder<'_> {
+impl<'a> GraphBuilder<'a> {
+    fn new(f: &'a Function, ctx: &'a BlockCtx, cfg: &'a SlpConfig) -> Self {
+        GraphBuilder {
+            f,
+            ctx,
+            cfg,
+            nodes: Vec::new(),
+            bundle_map: FxHashMap::default(),
+            covered: FxHashMap::default(),
+        }
+    }
+
     fn add_node(&mut self, node: Node) -> NodeId {
         let id = self.nodes.len();
         self.bundle_map.insert(node.scalars.clone(), id);
@@ -758,10 +725,9 @@ impl GraphBuilder<'_> {
             if lane > 0 && ops[lane].is_commutative() {
                 let pl = lefts[lane - 1];
                 let pr = rights[lane - 1];
-                let straight = score_pair_with(self.f, self.cache, pl, l, depth)
-                    + score_pair_with(self.f, self.cache, pr, r, depth);
-                let swapped = score_pair_with(self.f, self.cache, pl, r, depth)
-                    + score_pair_with(self.f, self.cache, pr, l, depth);
+                let memo = self.ctx.memo();
+                let straight = memo.score(self.f, pl, l, depth) + memo.score(self.f, pr, r, depth);
+                let swapped = memo.score(self.f, pl, r, depth) + memo.score(self.f, pr, l, depth);
                 if swapped > straight {
                     std::mem::swap(&mut l, &mut r);
                 }
@@ -848,12 +814,12 @@ impl GraphBuilder<'_> {
     /// Plans the reordering and creates the Super-Node and its operand
     /// slot bundles.
     fn commit_super(&mut self, bundle: &[InstId], chains: Vec<LaneChain>, depth: u32) -> NodeId {
-        let plan: SuperNodePlan = plan_supernode_cached(
+        let plan: SuperNodePlan = plan_supernode(
             self.f,
             chains,
             self.cfg.lookahead_depth,
             self.cfg.enable_trunk_reordering,
-            self.cache,
+            self.ctx.memo(),
         );
 
         let info = SuperInfo {

@@ -58,7 +58,6 @@ pub mod dot;
 pub mod graph;
 pub mod lookahead;
 pub mod pass;
-pub mod score_cache;
 pub mod seeds;
 pub mod supernode;
 
@@ -70,16 +69,14 @@ pub use cost_eval::{evaluate, CostBreakdown};
 pub use ctx::BlockCtx;
 pub use dot::{graph_to_dot, graph_to_dot_tagged};
 pub use graph::{
-    build_graph, build_graph_cached, build_reduction_graph, build_reduction_graph_cached,
-    GatherKind, GatherWhy, Node, NodeKind, ReductionInfo, SlpGraph, SuperInfo,
+    build_graph, build_reduction_graph, GatherKind, GatherWhy, Node, NodeKind, ReductionInfo,
+    SlpGraph, SuperInfo,
 };
+pub use lookahead::ScoreMemo;
 pub use pass::{
     optimize_o3, resolve_threads_env, run_slp, run_slp_module, run_slp_module_with_threads,
     FunctionReport, GraphStats,
 };
-pub use score_cache::LruScoreCache;
 pub use seeds::{collect_reduction_seeds, collect_store_seeds, ReductionSeed, SeedGroup};
 pub use snslp_trace::DecisionId;
-pub use supernode::{
-    plan_supernode, plan_supernode_cached, plan_supernode_with, SlotChoice, SuperNodePlan,
-};
+pub use supernode::{plan_supernode, SlotChoice, SuperNodePlan};

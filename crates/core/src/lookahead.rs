@@ -5,17 +5,26 @@
 //! position of adjacent lanes, the score estimates how profitable it is to
 //! pack them together, recursively peeking `depth` levels into their
 //! use-def subtrees.
+//!
+//! The score of `(a, b, depth)` is pure in the function body, and the
+//! pass asks for the same pairs many times: operand reordering re-walks
+//! shared subtrees, Super-Node leaf grouping scores every candidate leaf
+//! against every slot anchor, and mode fallbacks and half-width retries
+//! rebuild graphs over the same values. [`ScoreMemo`] remembers every
+//! score computed over one unchanged body. The pass owns one per
+//! [`BlockCtx`](crate::ctx::BlockCtx), which it rebuilds after every
+//! rewrite, so the memo never outlives the body its scores describe and
+//! holds no more entries than the scores computed since.
+//! [`score_pair`] is the memo-free reference.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 use snslp_ir::analysis::{is_consecutive, MemLoc};
-use snslp_ir::{Function, InstId, InstKind};
-
-use crate::score_cache::LruScoreCache;
+use snslp_ir::{Function, FxHashMap, InstId, InstKind};
 
 thread_local! {
-    /// Set while a [`score_pair_with`] invocation is on the stack, so the
-    /// profiler span covers only the outermost request of each recursion.
+    /// Set while a score request is on the stack, so the profiler span
+    /// covers only the outermost request of each recursion.
     static IN_SCORE: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -61,49 +70,55 @@ pub mod score {
     pub const FAIL: i32 = 0;
 }
 
-/// Scores packing `a` (lane *i*) with `b` (lane *i+1*), looking `depth`
-/// levels down the use-def chains. Uncached: every call (including the
-/// recursive ones) recomputes from the IR. The pass pipeline uses
-/// [`score_pair_with`]; this entry point is the reference baseline the
-/// property tests compare the memoized path against.
-pub fn score_pair(f: &Function, a: InstId, b: InstId, depth: u32) -> i32 {
-    score_pair_with(f, None, a, b, depth)
+/// Memo of `(a, b, depth) → score` over one unchanged function body.
+///
+/// Interior mutability lets scoring call sites keep holding `&Function`
+/// and pass the memo by shared reference through the recursion.
+#[derive(Debug, Default)]
+pub struct ScoreMemo(RefCell<FxHashMap<(InstId, InstId, u32), i32>>);
+
+impl ScoreMemo {
+    /// Scores packing `a` with `b` like [`score_pair`], memoizing the
+    /// score of every request, top-level or recursive. Each request
+    /// counts one `LookaheadScoreEvals` plus exactly one of
+    /// `LookaheadCacheHits` / `LookaheadCacheMisses` (the fuzz oracle
+    /// checks `hits + misses == evals` over a pass run).
+    pub fn score(&self, f: &Function, a: InstId, b: InstId, depth: u32) -> i32 {
+        score_with(f, Some(self), a, b, depth)
+    }
 }
 
-/// Memoizing variant of [`score_pair`]. Every request — top-level or
-/// recursive — counts one `LookaheadScoreEvals` plus exactly one of
-/// `LookaheadCacheHits`/`LookaheadCacheMisses` when a cache is supplied
-/// (the fuzz oracle checks `hits + misses == evals` over a pass run), and
-/// computed scores are memoized at every recursion level.
-pub fn score_pair_with(
-    f: &Function,
-    cache: Option<&LruScoreCache>,
-    a: InstId,
-    b: InstId,
-    depth: u32,
-) -> i32 {
+/// Scores packing `a` (lane *i*) with `b` (lane *i+1*), looking `depth`
+/// levels down the use-def chains. Memo-free: every call, the recursive
+/// ones included, recomputes from the IR. The pass scores through a
+/// [`ScoreMemo`]; this is the reference the tests compare it against.
+pub fn score_pair(f: &Function, a: InstId, b: InstId, depth: u32) -> i32 {
+    score_with(f, None, a, b, depth)
+}
+
+fn score_with(f: &Function, memo: Option<&ScoreMemo>, a: InstId, b: InstId, depth: u32) -> i32 {
     // Profile top-level score requests only: recursive calls re-enter this
     // function, and one span per recursion step would swamp the trace.
     let _p = top_level_score_span();
     snslp_trace::bump(snslp_trace::Counter::LookaheadScoreEvals);
-    match cache {
-        Some(c) => {
-            if let Some(s) = c.get(a, b, depth) {
-                snslp_trace::bump(snslp_trace::Counter::LookaheadCacheHits);
-                return s;
-            }
-            snslp_trace::bump(snslp_trace::Counter::LookaheadCacheMisses);
-            let s = compute_score_pair(f, cache, a, b, depth);
-            c.insert(a, b, depth, s);
-            s
-        }
-        None => compute_score_pair(f, None, a, b, depth),
+    let Some(m) = memo else {
+        return compute_score_pair(f, None, a, b, depth);
+    };
+    // The borrow ends before the recursion below re-enters the memo.
+    let hit = m.0.borrow().get(&(a, b, depth)).copied();
+    if let Some(s) = hit {
+        snslp_trace::bump(snslp_trace::Counter::LookaheadCacheHits);
+        return s;
     }
+    snslp_trace::bump(snslp_trace::Counter::LookaheadCacheMisses);
+    let s = compute_score_pair(f, memo, a, b, depth);
+    m.0.borrow_mut().insert((a, b, depth), s);
+    s
 }
 
 fn compute_score_pair(
     f: &Function,
-    cache: Option<&LruScoreCache>,
+    memo: Option<&ScoreMemo>,
     a: InstId,
     b: InstId,
     depth: u32,
@@ -141,7 +156,7 @@ fn compute_score_pair(
             }
             let mut s = score::SAME_OPCODE;
             if depth > 0 {
-                s += best_operand_match(f, cache, a, b, depth - 1);
+                s += best_operand_match(f, memo, a, b, depth - 1);
             }
             s
         }
@@ -151,7 +166,7 @@ fn compute_score_pair(
             }
             let mut s = score::SAME_OPCODE;
             if depth > 0 {
-                s += best_operand_match(f, cache, a, b, depth - 1);
+                s += best_operand_match(f, memo, a, b, depth - 1);
             }
             s
         }
@@ -169,7 +184,7 @@ fn compute_score_pair(
 /// instructions, trying the swapped pairing too when the op commutes.
 fn best_operand_match(
     f: &Function,
-    cache: Option<&LruScoreCache>,
+    memo: Option<&ScoreMemo>,
     a: InstId,
     b: InstId,
     depth: u32,
@@ -182,15 +197,15 @@ fn best_operand_match(
     let straight: i32 = oa
         .iter()
         .zip(&ob)
-        .map(|(&x, &y)| score_pair_with(f, cache, x, y, depth))
+        .map(|(&x, &y)| score_with(f, memo, x, y, depth))
         .sum();
     let commutes = match f.kind(a) {
         InstKind::Binary { op, .. } => op.is_commutative(),
         _ => false,
     };
     if commutes && oa.len() == 2 {
-        let crossed = score_pair_with(f, cache, oa[0], ob[1], depth)
-            + score_pair_with(f, cache, oa[1], ob[0], depth);
+        let crossed =
+            score_with(f, memo, oa[0], ob[1], depth) + score_with(f, memo, oa[1], ob[0], depth);
         straight.max(crossed)
     } else {
         straight
@@ -198,22 +213,11 @@ fn best_operand_match(
 }
 
 /// Total score of a whole candidate group: the sum of adjacent-lane pair
-/// scores (paper Listing 2, line 14). Uncached reference entry point,
-/// like [`score_pair`].
+/// scores (paper Listing 2, line 14).
 pub fn score_group(f: &Function, group: &[InstId], depth: u32) -> i32 {
-    score_group_with(f, None, group, depth)
-}
-
-/// Memoizing variant of [`score_group`].
-pub fn score_group_with(
-    f: &Function,
-    cache: Option<&LruScoreCache>,
-    group: &[InstId],
-    depth: u32,
-) -> i32 {
     group
         .windows(2)
-        .map(|w| score_pair_with(f, cache, w[0], w[1], depth))
+        .map(|w| score_pair(f, w[0], w[1], depth))
         .sum()
 }
 
@@ -321,40 +325,40 @@ mod tests {
     #[test]
     fn cached_scores_match_uncached() {
         let fx = fixture();
-        let cache = LruScoreCache::default();
+        let memo = ScoreMemo::default();
         let all = [fx.b0, fx.b1, fx.c0, fx.k1, fx.k2, fx.add_bb, fx.add_bc];
         for depth in 0..4 {
             for &a in &all {
                 for &b in &all {
                     let plain = score_pair(&fx.f, a, b, depth);
-                    // Twice: first fills the cache, second hits it.
-                    assert_eq!(score_pair_with(&fx.f, Some(&cache), a, b, depth), plain);
-                    assert_eq!(score_pair_with(&fx.f, Some(&cache), a, b, depth), plain);
+                    // Twice: first fills the memo, second hits it.
+                    assert_eq!(memo.score(&fx.f, a, b, depth), plain);
+                    assert_eq!(memo.score(&fx.f, a, b, depth), plain);
                 }
             }
         }
-        assert_eq!(
-            score_group(&fx.f, &all, 3),
-            score_group_with(&fx.f, Some(&cache), &all, 3)
-        );
     }
 
     #[test]
     fn cache_accounting_covers_every_eval() {
         use snslp_trace::{Counter, MetricsSnapshot};
         let fx = fixture();
-        let cache = LruScoreCache::default();
+        let memo = ScoreMemo::default();
         let before = MetricsSnapshot::current();
-        score_pair_with(&fx.f, Some(&cache), fx.add_bb, fx.add_bc, 3);
-        // Re-scoring the same pair and a group over it must be all hits.
-        score_pair_with(&fx.f, Some(&cache), fx.add_bb, fx.add_bc, 3);
-        score_group_with(&fx.f, Some(&cache), &[fx.add_bb, fx.add_bc], 3);
+        memo.score(&fx.f, fx.add_bb, fx.add_bc, 3);
+        // Re-scoring the same pair must be all hits.
+        memo.score(&fx.f, fx.add_bb, fx.add_bc, 3);
         let d = MetricsSnapshot::current().delta_since(&before);
         let evals = d.get(Counter::LookaheadScoreEvals);
         let hits = d.get(Counter::LookaheadCacheHits);
         let misses = d.get(Counter::LookaheadCacheMisses);
         assert!(evals > 0);
         assert_eq!(hits + misses, evals, "every request is a hit or a miss");
-        assert!(hits > 0, "repeated subtree scoring must hit the cache");
+        assert!(hits > 0, "repeated subtree scoring must hit the memo");
+        assert_eq!(
+            memo.0.borrow().len() as u64,
+            misses,
+            "one memo entry per miss"
+        );
     }
 }

@@ -16,8 +16,7 @@ use crate::config::{SlpConfig, SlpMode, MIN_REDUCTION_LEAVES};
 use crate::cost_eval;
 use crate::ctx::BlockCtx;
 use crate::dot::graph_to_dot_tagged;
-use crate::graph::{build_graph_cached, GatherWhy, NodeKind, SlpGraph};
-use crate::score_cache::LruScoreCache;
+use crate::graph::{build_graph, build_reduction_graph, GatherWhy, NodeKind, SlpGraph};
 use crate::seeds::collect_store_seeds;
 
 /// Maps the dominant gather cause of a rejected graph to the remark
@@ -213,12 +212,11 @@ fn best_graph(
     ctx: &BlockCtx,
     cfg: &SlpConfig,
     seeds: &[snslp_ir::InstId],
-    cache: &LruScoreCache,
 ) -> (crate::graph::SlpGraph, cost_eval::CostBreakdown) {
     let graph = {
         let _t = StageTimer::start(Stage::GraphBuild);
         let _p = ProfSpan::enter("graph.build");
-        build_graph_cached(f, ctx, cfg, seeds, Some(cache))
+        build_graph(f, ctx, cfg, seeds)
     };
     let cost = {
         let _t = StageTimer::start(Stage::CostEval);
@@ -241,9 +239,9 @@ fn best_graph(
             let _t = StageTimer::start(Stage::GraphBuild);
             let _p = ProfSpan::enter("graph.build");
             // The look-ahead score of a pair is mode-independent, so the
-            // fallback rebuilds share the cache: most pair scores the
+            // fallback rebuilds share `ctx`'s memo: most pair scores the
             // weaker-mode graph needs were already computed.
-            build_graph_cached(f, ctx, &sub, seeds, Some(cache))
+            build_graph(f, ctx, &sub, seeds)
         };
         let c = {
             let _t = StageTimer::start(Stage::CostEval);
@@ -285,11 +283,6 @@ pub fn run_slp(f: &mut Function, cfg: &SlpConfig) -> FunctionReport {
 
     let mut graphs = Vec::new();
     let mut remarks: Vec<Remark> = Vec::new();
-    // Look-ahead scores stay valid while the function is unchanged, so
-    // one memo cache serves the whole function; it is cleared after
-    // every committed rewrite (and block analyses recomputed) — paper
-    // Fig. 1 loops back to step 2 after each vectorized seed group.
-    let cache = LruScoreCache::default();
     // Per-function seed ordinal: decisions are minted in consideration
     // order, so the anchor is stable across unrelated value renumbering.
     let mut decision_ord: u32 = 0;
@@ -297,6 +290,10 @@ pub fn run_slp(f: &mut Function, cfg: &SlpConfig) -> FunctionReport {
     for block in blocks {
         let bname = block_name(f, block);
         let mut processed: FxHashSet<snslp_ir::InstId> = FxHashSet::default();
+        // Block analyses and memoized look-ahead scores stay valid while
+        // the function is unchanged; every committed rewrite recomputes
+        // them — paper Fig. 1 loops back to step 2 after each vectorized
+        // seed group.
         let mut ctx = BlockCtx::compute(f, block);
         loop {
             let target = cfg.model.target().clone();
@@ -325,10 +322,10 @@ pub fn run_slp(f: &mut Function, cfg: &SlpConfig) -> FunctionReport {
             if snslp_trace::enabled(snslp_trace::Facet::Dot) && cfg.mode != SlpMode::Slp {
                 let mut sub = cfg.clone();
                 sub.mode = SlpMode::Slp;
-                let pre = build_graph_cached(f, &ctx, &sub, &group.stores, Some(&cache));
+                let pre = build_graph(f, &ctx, &sub, &group.stores);
                 dot_hook(f, &pre, "pre_reorder", f.name(), &bname, &site, &decision);
             }
-            let (mut graph, mut cost) = best_graph(f, &ctx, cfg, &group.stores, &cache);
+            let (mut graph, mut cost) = best_graph(f, &ctx, cfg, &group.stores);
             dot_hook(
                 f,
                 &graph,
@@ -348,7 +345,7 @@ pub fn run_slp(f: &mut Function, cfg: &SlpConfig) -> FunctionReport {
                     processed.insert(s);
                 }
                 let narrow = &group.stores[..half];
-                let (g2, c2) = best_graph(f, &ctx, cfg, narrow, &cache);
+                let (g2, c2) = best_graph(f, &ctx, cfg, narrow);
                 if c2.total < cost.total {
                     graph = g2;
                     cost = c2;
@@ -376,9 +373,8 @@ pub fn run_slp(f: &mut Function, cfg: &SlpConfig) -> FunctionReport {
                                 panic!("vectorizer broke the IR:\n{e}\n{f}");
                             }
                         }
-                        // The rewrite invalidated both the block analyses
-                        // and the memoized scores.
-                        cache.clear();
+                        // The rewrite invalidated the block analyses and
+                        // the memoized scores.
                         ctx = BlockCtx::compute(f, block);
                     }
                     Err(e) => {
@@ -466,14 +462,7 @@ pub fn run_slp(f: &mut Function, cfg: &SlpConfig) -> FunctionReport {
                 let graph = {
                     let _t = StageTimer::start(Stage::GraphBuild);
                     let _p = ProfSpan::enter("graph.build_reduction");
-                    crate::graph::build_reduction_graph_cached(
-                        f,
-                        &ctx,
-                        cfg,
-                        &seed,
-                        width,
-                        Some(&cache),
-                    )
+                    build_reduction_graph(f, &ctx, cfg, &seed, width)
                 };
                 let cost = {
                     let _t = StageTimer::start(Stage::CostEval);
@@ -498,7 +487,6 @@ pub fn run_slp(f: &mut Function, cfg: &SlpConfig) -> FunctionReport {
                                     panic!("vectorizer broke the IR (reduction):\n{e}\n{f}");
                                 }
                             }
-                            cache.clear();
                             ctx = BlockCtx::compute(f, block);
                         }
                         Err(e) => {

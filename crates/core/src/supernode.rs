@@ -25,8 +25,7 @@
 use snslp_ir::{Function, InstId, OpFamily};
 
 use crate::chain::{LaneChain, Sign};
-use crate::lookahead::score_pair_with;
-use crate::score_cache::LruScoreCache;
+use crate::lookahead::ScoreMemo;
 
 /// One lane's contribution to one operand slot of the Super-Node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,43 +118,22 @@ impl LaneState {
     }
 }
 
-/// Plans the reordered Super-Node for `chains` with trunk reordering
-/// enabled (the full algorithm).
+/// Plans the reordered Super-Node for `chains`, scoring candidate leaf
+/// groups through `memo` (leaf grouping scores every candidate leaf
+/// against every slot anchor, so it re-requests the same pairs heavily).
+/// `allow_trunk_swaps = false` restricts legality to leaf-only moves (the
+/// §IV-C2 rule alone — the ablation of §IV-C3's trunk movement).
 ///
 /// # Panics
 ///
 /// Panics if `chains` is empty or the lanes have differing leaf counts
 /// (the caller checks compatibility first, paper Listing 1 `areCompatible`).
-pub fn plan_supernode(f: &Function, chains: Vec<LaneChain>, lookahead_depth: u32) -> SuperNodePlan {
-    plan_supernode_with(f, chains, lookahead_depth, true)
-}
-
-/// Plans the reordered Super-Node, optionally restricting legality to
-/// leaf-only moves (`allow_trunk_swaps = false`, the §IV-C2 rule alone —
-/// the ablation of §IV-C3's trunk movement).
-///
-/// # Panics
-///
-/// Panics if `chains` is empty or the lanes have differing leaf counts.
-pub fn plan_supernode_with(
+pub fn plan_supernode(
     f: &Function,
     chains: Vec<LaneChain>,
     lookahead_depth: u32,
     allow_trunk_swaps: bool,
-) -> SuperNodePlan {
-    plan_supernode_cached(f, chains, lookahead_depth, allow_trunk_swaps, None)
-}
-
-/// [`plan_supernode_with`] with an optional memoized look-ahead score
-/// cache (the pass pipeline threads its per-function cache through here;
-/// leaf grouping scores every candidate leaf against every slot anchor,
-/// so it re-requests the same pairs heavily).
-pub fn plan_supernode_cached(
-    f: &Function,
-    chains: Vec<LaneChain>,
-    lookahead_depth: u32,
-    allow_trunk_swaps: bool,
-    cache: Option<&LruScoreCache>,
+    memo: &ScoreMemo,
 ) -> SuperNodePlan {
     assert!(!chains.is_empty(), "need at least one lane");
     let n_slots = chains[0].leaves.len();
@@ -208,7 +186,7 @@ pub fn plan_supernode_cached(
                     if states[lane].used[li] || !slot_legal(&states, lane, op_i, leaf.apo) {
                         continue;
                     }
-                    let s = score_pair_with(f, cache, prev_val, leaf.value, lookahead_depth);
+                    let s = memo.score(f, prev_val, leaf.value, lookahead_depth);
                     if best_leaf.map(|(_, bs)| s > bs).unwrap_or(true) {
                         best_leaf = Some((li, s));
                     }
@@ -321,7 +299,7 @@ mod tests {
         let chains = chains_of(&f, &[r0, r1]);
         assert_eq!(chains[0].leaves.len(), 3);
         assert_eq!(chains[1].leaves.len(), 3);
-        let plan = plan_supernode(&f, chains, 2);
+        let plan = plan_supernode(&f, chains, 2, true, &ScoreMemo::default());
         assert_eq!(plan.num_slots(), 3);
         // Every slot must pair leaves from the same array: consecutive
         // loads score highest, so the planner aligns B with B, C with C,
@@ -359,7 +337,7 @@ mod tests {
                 v
             })
             .collect();
-        let plan = plan_supernode(&f, chains, 2);
+        let plan = plan_supernode(&f, chains, 2, true, &ScoreMemo::default());
         for (lane, want) in orig.iter().enumerate() {
             let mut got: Vec<Sign> = (0..plan.num_slots())
                 .map(|j| plan.slots[j][lane].sign)
@@ -399,7 +377,7 @@ mod tests {
         fb.ret(None);
         let f = fb.finish();
         let chains = chains_of(&f, &[r0, r1]);
-        let plan = plan_supernode(&f, chains.clone(), 2);
+        let plan = plan_supernode(&f, chains.clone(), 2, true, &ScoreMemo::default());
         // Lane 0: slot 0 (root class +) must receive the only plus-APO
         // leaf in class + — which is `a` (b and c live in class -).
         assert_eq!(plan.slots[0][0].value, a);
@@ -445,7 +423,7 @@ mod tests {
             .iter()
             .map(|&r| extract_chain(&f, &ctx, r, false, 32, &|_| false).unwrap())
             .collect();
-        let plan = plan_supernode(&f, chains, 2);
+        let plan = plan_supernode(&f, chains, 2, true, &ScoreMemo::default());
         assert_eq!(
             plan.trunk_assisted_moves, 0,
             "all-plus labels: no swaps needed"
@@ -464,7 +442,7 @@ mod tests {
         // APO equals the slot's own original label.
         let (f, r0, r1) = fig3();
         let chains = chains_of(&f, &[r0, r1]);
-        let plan = plan_supernode_with(&f, chains.clone(), 2, false);
+        let plan = plan_supernode(&f, chains.clone(), 2, false, &ScoreMemo::default());
         assert_eq!(plan.trunk_assisted_moves, 0);
         for (lane, chain) in chains.iter().enumerate() {
             for j in 0..plan.num_slots() {

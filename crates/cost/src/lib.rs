@@ -21,5 +21,5 @@
 pub mod model;
 pub mod target;
 
-pub use model::{CostModel, CostParams};
+pub use model::{params, CostModel};
 pub use target::TargetDesc;

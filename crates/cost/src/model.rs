@@ -17,66 +17,44 @@ use snslp_ir::{BinOp, Function, InstId, InstKind, Type, UnOp};
 
 use crate::target::TargetDesc;
 
-/// Tunable cost parameters (compile-time view).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CostParams {
+/// The compile-time view's unit costs, calibrated so the worked
+/// examples of the paper hold exactly:
+/// Fig. 2: (L)SLP graph cost 0, SN-SLP graph cost -6.
+/// Fig. 3: (L)SLP graph cost +4, SN-SLP graph cost -6.
+pub mod params {
     /// Cost of a simple scalar or vector ALU op.
-    pub binop: i32,
+    pub const BINOP: i32 = 1;
     /// Cost of a division (scalar or vector).
-    pub div: i32,
+    pub const DIV: i32 = 8;
     /// Cost of a square root.
-    pub sqrt: i32,
+    pub const SQRT: i32 = 8;
     /// Cost of a load (scalar or full-width vector).
-    pub load: i32,
+    pub const LOAD: i32 = 1;
     /// Cost of a store (scalar or full-width vector).
-    pub store: i32,
+    pub const STORE: i32 = 1;
     /// Cost of inserting one scalar into a vector lane.
-    pub insert: i32,
+    pub const INSERT: i32 = 1;
     /// Cost of extracting one scalar from a vector lane.
-    pub extract: i32,
+    pub const EXTRACT: i32 = 1;
     /// Cost of a shuffle/splat.
-    pub shuffle: i32,
+    pub const SHUFFLE: i32 = 1;
     /// Extra cost of a lane-alternating binary op over a plain one when
     /// the target supports it natively.
-    pub altop_penalty: i32,
+    pub const ALTOP_PENALTY: i32 = 2;
     /// Extra cost when it must be emulated (two ops + blend).
-    pub altop_emulation_penalty: i32,
+    pub const ALTOP_EMULATION_PENALTY: i32 = 3;
 }
 
-impl Default for CostParams {
-    fn default() -> Self {
-        // Calibrated so the worked examples of the paper hold exactly:
-        // Fig. 2: (L)SLP graph cost 0, SN-SLP graph cost -6.
-        // Fig. 3: (L)SLP graph cost +4, SN-SLP graph cost -6.
-        CostParams {
-            binop: 1,
-            div: 8,
-            sqrt: 8,
-            load: 1,
-            store: 1,
-            insert: 1,
-            extract: 1,
-            shuffle: 1,
-            altop_penalty: 2,
-            altop_emulation_penalty: 3,
-        }
-    }
-}
-
-/// Target description plus cost parameters.
+/// The cost model of one target.
 #[derive(Debug, Clone, Default)]
 pub struct CostModel {
     target: TargetDesc,
-    params: CostParams,
 }
 
 impl CostModel {
-    /// Creates a cost model with default parameters for `target`.
+    /// Creates the cost model for `target`.
     pub fn new(target: TargetDesc) -> Self {
-        CostModel {
-            target,
-            params: CostParams::default(),
-        }
+        CostModel { target }
     }
 
     /// The target description.
@@ -84,15 +62,10 @@ impl CostModel {
         &self.target
     }
 
-    /// The cost parameters.
-    pub fn params(&self) -> &CostParams {
-        &self.params
-    }
-
     fn binop_cost(&self, op: BinOp) -> i32 {
         match op {
-            BinOp::Div | BinOp::Rem => self.params.div,
-            _ => self.params.binop,
+            BinOp::Div | BinOp::Rem => params::DIV,
+            _ => params::BINOP,
         }
     }
 
@@ -113,7 +86,6 @@ impl CostModel {
     /// Compile-time cost of a hypothetical instruction of kind `kind` and
     /// type `ty` (the instruction need not exist yet).
     pub fn compile_cost_of(&self, f: &Function, kind: &InstKind, ty: Type) -> i32 {
-        let p = &self.params;
         match kind {
             InstKind::Param(_) | InstKind::Const(_) => 0,
             InstKind::Binary { op, .. } => self.binop_cost(*op),
@@ -122,32 +94,32 @@ impl CostModel {
                     .iter()
                     .map(|&o| self.binop_cost(o))
                     .max()
-                    .unwrap_or(p.binop);
+                    .unwrap_or(params::BINOP);
                 // The x86 `addsub` family only covers add/sub lanes;
                 // other alternating ops are emulated (two ops + blend).
                 if self.lanewise_is_native(ops) {
-                    worst + p.altop_penalty
+                    worst + params::ALTOP_PENALTY
                 } else {
-                    worst + p.altop_emulation_penalty
+                    worst + params::ALTOP_EMULATION_PENALTY
                 }
             }
             InstKind::Unary { op, .. } => match op {
-                UnOp::Sqrt => p.sqrt,
-                _ => p.binop,
+                UnOp::Sqrt => params::SQRT,
+                _ => params::BINOP,
             },
-            InstKind::Cast { .. } => p.binop,
-            InstKind::Cmp { .. } | InstKind::Select { .. } => p.binop,
-            InstKind::Load { .. } => p.load,
+            InstKind::Cast { .. } => params::BINOP,
+            InstKind::Cmp { .. } | InstKind::Select { .. } => params::BINOP,
+            InstKind::Load { .. } => params::LOAD,
             InstKind::Store { value, .. } => {
                 let _ = f.ty(*value);
-                p.store
+                params::STORE
             }
             InstKind::PtrAdd { .. } => 0,
-            InstKind::Splat { .. } => p.shuffle,
-            InstKind::BuildVector { elems } => p.insert * elems.len() as i32,
-            InstKind::ExtractElement { .. } => p.extract,
-            InstKind::InsertElement { .. } => p.insert,
-            InstKind::Shuffle { .. } => p.shuffle,
+            InstKind::Splat { .. } => params::SHUFFLE,
+            InstKind::BuildVector { elems } => params::INSERT * elems.len() as i32,
+            InstKind::ExtractElement { .. } => params::EXTRACT,
+            InstKind::InsertElement { .. } => params::INSERT,
+            InstKind::Shuffle { .. } => params::SHUFFLE,
             InstKind::Phi { .. } => 0,
             InstKind::Jump { .. } | InstKind::Branch { .. } | InstKind::Ret { .. } => {
                 let _ = ty;
@@ -159,13 +131,13 @@ impl CostModel {
     /// Cost of gathering `lanes` scalars into a vector (a non-vectorizable
     /// SLP node): one insert per lane.
     pub fn gather_cost(&self, lanes: u8) -> i32 {
-        self.params.insert * i32::from(lanes)
+        params::INSERT * i32::from(lanes)
     }
 
     /// Cost of extracting a lane for an external (scalar) user of a
     /// vectorized value.
     pub fn extract_cost(&self) -> i32 {
-        self.params.extract
+        params::EXTRACT
     }
 
     /// Execution (cycle) cost of one dynamic instruction. Used by the
@@ -224,10 +196,20 @@ mod tests {
     fn paper_unit_calibration_vectorizable_node() {
         // A vectorizable group of 2 adds: vector cost 1, scalar cost 2,
         // node delta = -1 (the paper's per-node saving in Figs. 2/3).
+        let mut fb = FunctionBuilder::new("t", vec![Param::noalias_ptr("p")], Type::Void);
+        let p = fb.func().param(0);
+        let x = fb.load(ScalarType::F64, p);
+        let s = fb.add(x, x);
+        let v = fb.splat(x, 2);
+        let vs = fb.add(v, v);
+        fb.store(p, s);
+        fb.ret(None);
+        let f = fb.finish();
         let m = model();
-        assert_eq!(m.params().binop, 1);
+        assert_eq!(m.compile_cost(&f, s), params::BINOP);
+        assert_eq!(params::BINOP, 1);
         // delta = vec - scalar = 1 - 2 = -1
-        assert_eq!(m.params().binop - 2 * m.params().binop, -1);
+        assert_eq!(m.compile_cost(&f, vs) - 2 * m.compile_cost(&f, s), -1);
     }
 
     #[test]
@@ -251,7 +233,7 @@ mod tests {
         let f = fb.finish();
         let m = model();
         assert_eq!(m.compile_cost(&f, a), 3);
-        assert_eq!(m.compile_cost(&f, a) - 2 * m.params().binop, 1);
+        assert_eq!(m.compile_cost(&f, a) - 2 * params::BINOP, 1);
     }
 
     #[test]
@@ -357,7 +339,7 @@ mod tests {
         fb.ret(None);
         let f = fb.finish();
         let m = model();
-        assert_eq!(m.compile_cost(&f, c), m.params().binop);
+        assert_eq!(m.compile_cost(&f, c), params::BINOP);
         assert_eq!(m.exec_cost(&f, c), 1);
     }
 }

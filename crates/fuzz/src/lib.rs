@@ -1,11 +1,11 @@
 //! # snslp-fuzz
 //!
 //! Offline differential fuzzing for the SN-SLP pipeline: a deterministic
-//! typed-IR [generator](gen), an execution [oracle](oracle) that runs
+//! typed-IR [generator](gen), an execution [oracle] that runs
 //! every module through the scalar O3 pipeline and through the
 //! vectorizer at each mode on identical inputs, and a ddmin-style
-//! [reducer](reduce) that shrinks failures to minimal re-parseable
-//! reproducers for the [corpus](corpus).
+//! [reducer](mod@reduce) that shrinks failures to minimal re-parseable
+//! reproducers for the [corpus].
 //!
 //! Everything is reproducible from a single CLI seed (the crate carries
 //! its own [PRNG](rng)) and runs fully offline — no external crates, no

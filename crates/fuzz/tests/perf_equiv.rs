@@ -8,24 +8,25 @@
 //! paths are exercised on exactly the IR shapes the pass sees.
 //!
 //! Three query families are compared per block:
-//! * `LruScoreCache`-memoized look-ahead scores vs uncached
+//! * look-ahead scores through the block context's
+//!   [`ScoreMemo`](snslp_core::ScoreMemo) vs memo-free
 //!   [`score_pair`](snslp_core::lookahead::score_pair) (pairs at depths
-//!   0..=3, each asked twice so the second ask is a pure cache hit);
-//! * bitset [`BlockCtx::depends_on`] vs the DFS
-//!   [`BlockCtx::depends_on_scan`];
+//!   0..=3, each asked twice so the second ask is a pure memo hit);
+//! * the reachability index behind [`BlockCtx::depends_on`] vs the DFS
+//!   below. Loop bodies count: their phis read values defined later in
+//!   the block, and each run asserts it compared some;
 //! * interval-indexed [`BlockCtx::aliasing_store_within`] /
-//!   [`BlockCtx::aliasing_mem_within`] vs the linear scans below, built
-//!   from public API only, over `(lo, hi)` position windows.
+//!   [`BlockCtx::aliasing_mem_within`] vs the linear scans below.
 //!
-//! The small fixtures are swept exhaustively. Generated blocks can reach
-//! several hundred instructions, where exhaustive pair × window × depth
-//! enumeration is quartic — there the sweeps sample deterministically
-//! (fixed stride, no randomness) so all 1,000 cases stay affordable
-//! while every case still contributes hundreds of checked queries.
+//! The references use public API only. The small fixtures are swept
+//! exhaustively. Generated blocks can reach several hundred
+//! instructions, where exhaustive pair × window × depth enumeration is
+//! quartic — there the sweeps sample deterministically (fixed stride, no
+//! randomness) so all 1,000 cases stay affordable while every case still
+//! contributes hundreds of checked queries.
 
 use snslp_core::ctx::BlockCtx;
-use snslp_core::lookahead::{score_pair, score_pair_with};
-use snslp_core::LruScoreCache;
+use snslp_core::lookahead::score_pair;
 use snslp_fuzz::generate;
 use snslp_ir::analysis::{may_alias, MemLoc};
 use snslp_ir::{parse_function_str, Function, InstId, InstKind};
@@ -60,6 +61,42 @@ fn mem_ops(ctx: &BlockCtx, f: &Function, insts: &[InstId]) -> Vec<MemOp> {
         .iter()
         .filter_map(|&id| Some((ctx.pos_of(id)?, id, MemLoc::of_inst(f, id)?)))
         .collect()
+}
+
+/// Reference for [`BlockCtx::depends_on`]: a DFS over use-def edges from
+/// `a`, through in-block operands only, that looks for `b` among the
+/// operands of every instruction it visits.
+fn depends_on_scan(ctx: &BlockCtx, f: &Function, a: InstId, b: InstId) -> bool {
+    if a == b {
+        return true;
+    }
+    let mut stack = vec![a];
+    let mut seen = vec![false; f.num_inst_slots()];
+    seen[a.index()] = true;
+    while let Some(cur) = stack.pop() {
+        for op in f.kind(cur).operands() {
+            if op == b {
+                return true;
+            }
+            if ctx.in_block(op) && !seen[op.index()] {
+                seen[op.index()] = true;
+                stack.push(op);
+            }
+        }
+    }
+    false
+}
+
+/// Whether a phi among the block's `insts` reads a value defined later in
+/// the block (a loop body's back edge).
+fn has_back_edge(ctx: &BlockCtx, f: &Function, insts: &[InstId]) -> bool {
+    insts.iter().enumerate().any(|(i, &id)| {
+        matches!(f.kind(id), InstKind::Phi { .. })
+            && f.kind(id)
+                .operands()
+                .iter()
+                .any(|&op| ctx.pos_of(op).is_some_and(|j| j > i))
+    })
 }
 
 /// Reference for [`BlockCtx::aliasing_store_within`]: whether any store
@@ -121,18 +158,20 @@ fn collect(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) {
     }
 }
 
-/// Checks every fast-path query against its reference on one function.
+/// Checks every fast-path query against its reference on one function,
+/// and returns how many of its blocks have a phi back edge.
 ///
 /// `exhaustive` sweeps every pair, depth, and alias window (affordable on
 /// the handful of small fixtures); the generated-case run stride-samples
 /// instructions for scoring and dependence and anchors alias windows at a
 /// sample of memory-op positions — the only places the answer can
 /// change — to stay affordable over 1,000 cases.
-fn check_function(label: &str, f: &Function, exhaustive: bool) {
-    let cache = LruScoreCache::default();
+fn check_function(label: &str, f: &Function, exhaustive: bool) -> usize {
+    let mut loop_blocks = 0;
     for block in f.block_ids() {
         let ctx = BlockCtx::compute(f, block);
         let insts = f.block(block).insts().to_vec();
+        loop_blocks += usize::from(has_back_edge(&ctx, f, &insts));
 
         // Memoized look-ahead scores: ask twice, so pass 2 is all hits.
         let score_insts = if exhaustive {
@@ -145,7 +184,7 @@ fn check_function(label: &str, f: &Function, exhaustive: bool) {
                 for &b in &score_insts {
                     for depth in DEPTHS {
                         let reference = score_pair(f, a, b, depth);
-                        let memoized = score_pair_with(f, Some(&cache), a, b, depth);
+                        let memoized = ctx.memo().score(f, a, b, depth);
                         assert_eq!(
                             memoized, reference,
                             "{label}: score({a:?}, {b:?}, {depth}) diverged"
@@ -155,7 +194,7 @@ fn check_function(label: &str, f: &Function, exhaustive: bool) {
             }
         }
 
-        // Dependence: indexed bitset vs DFS scan. The samples are offset
+        // Dependence: reachability index vs DFS scan. The samples are offset
         // by one so `a` and `b` rarely coincide, and adjacent positions
         // (direct def-use edges) are still covered.
         let dep_insts = if exhaustive {
@@ -167,12 +206,12 @@ fn check_function(label: &str, f: &Function, exhaustive: bool) {
             for &b in dep_insts.iter().skip(i / 2) {
                 assert_eq!(
                     ctx.depends_on(f, a, b),
-                    ctx.depends_on_scan(f, a, b),
+                    depends_on_scan(&ctx, f, a, b),
                     "{label}: depends_on({a:?}, {b:?}) diverged"
                 );
                 assert_eq!(
                     ctx.depends_on(f, b, a),
-                    ctx.depends_on_scan(f, b, a),
+                    depends_on_scan(&ctx, f, b, a),
                     "{label}: depends_on({b:?}, {a:?}) diverged"
                 );
             }
@@ -236,19 +275,28 @@ fn check_function(label: &str, f: &Function, exhaustive: bool) {
             }
         }
     }
+    loop_blocks
 }
 
 #[test]
 fn fast_paths_match_references_on_fixtures() {
-    for (path, f) in fixtures() {
-        check_function(&path, &f, true);
-    }
+    let loop_blocks: usize = fixtures()
+        .iter()
+        .map(|(path, f)| check_function(path, f, true))
+        .sum();
+    assert!(loop_blocks > 0, "no fixture block has a phi back edge");
 }
 
 #[test]
 fn fast_paths_match_references_on_generated_cases() {
-    for i in 0..FUZZ_CASES {
-        let case = generate(FUZZ_SEED, i);
-        check_function(&format!("case {i}"), &case.function, false);
-    }
+    let loop_blocks: usize = (0..FUZZ_CASES)
+        .map(|i| {
+            check_function(
+                &format!("case {i}"),
+                &generate(FUZZ_SEED, i).function,
+                false,
+            )
+        })
+        .sum();
+    assert!(loop_blocks > 0, "no generated block has a phi back edge");
 }

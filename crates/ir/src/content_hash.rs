@@ -9,7 +9,7 @@
 //! the printed text, widened to 128 bits by a second differently-seeded
 //! pass so accidental collisions are out of reach at cache scale.
 //!
-//! [`FxHasher`](crate::fxhash::FxHasher) has no per-process random seed
+//! [`FxHasher`] has no per-process random seed
 //! (unlike SipHash in `std`), so these hashes are stable across processes
 //! and platforms of the same endianness-independent byte stream.
 

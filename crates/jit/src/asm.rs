@@ -7,7 +7,7 @@
 //! label fixups. Memory operands always use the `[base + disp32]` form:
 //! one code path, no special-casing of short displacements, and the
 //! `rsp`/`r12` SIB and `rbp`/`r13` quirks are handled once in
-//! [`Asm::modrm_mem`].
+//! `Asm::modrm_mem`.
 
 /// General-purpose register numbers (hardware encoding).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,9 +8,9 @@
 //!   gate proves every non-phi instruction of an entered block executes
 //!   (a trap aborts the whole activation), each instruction's native
 //!   execution count *is* its block's counter, exactly and
-//!   deterministically. Per-class totals must then [`reconcile`]
-//!   (`HotProfile::reconcile`) with the interpreter's
-//!   [`DynProfile`](snslp_interp::DynProfile) for the same run — the
+//!   deterministically. Per-class totals must then
+//!   [`reconcile`](HotProfile::reconcile) with the interpreter's
+//!   [`DynProfile`] for the same run — the
 //!   native backend's analogue of the oracle's `total_ops == dyn_insts`
 //!   invariant.
 //! * **Sampled** — a SIGPROF wall-clock sampler ([`crate::sampler`])

@@ -4,7 +4,7 @@
 //! contract is a strict partition: the ranges cover `[0, code_len)`
 //! exactly once, in monotonically increasing order, with no gap and no
 //! overlap — every emitted byte is attributable. Instruction ranges
-//! carry the [`InstId`] index, the interpreter's opcode class for the
+//! carry the [`InstId`](snslp_ir::InstId) index, the interpreter's opcode class for the
 //! instruction (the same [`classify`](snslp_interp::classify) the
 //! dynamic profile uses, so native and interpreted counts bucket
 //! identically), the owning block index, and the vectorization
