@@ -11,11 +11,11 @@
 //! shared subtrees, Super-Node leaf grouping scores every candidate leaf
 //! against every slot anchor, and mode fallbacks and half-width retries
 //! rebuild graphs over the same values. [`ScoreMemo`] remembers every
-//! score computed over one unchanged body. The pass owns one per
-//! [`BlockCtx`](crate::ctx::BlockCtx), which it rebuilds after every
-//! rewrite, so the memo never outlives the body its scores describe and
-//! holds no more entries than the scores computed since.
-//! [`score_pair`] is the memo-free reference.
+//! score computed over one unchanged body. Each
+//! [`BlockCtx`](crate::ctx::BlockCtx) owns one, and the pass rebuilds the
+//! context after every rewrite, so the memo never outlives the body its
+//! scores describe and holds no more entries than the scores computed
+//! since. [`score_pair`] is the memo-free reference.
 
 use std::cell::{Cell, RefCell};
 
