@@ -132,3 +132,45 @@ fn snslpc_stats_takes_no_file() {
     assert!(plain.status.success(), "{stderr}");
     assert!(stderr.contains("vectorized"), "{stderr}");
 }
+
+/// `snslpc`'s caret excerpt counts columns in characters: an error after
+/// a non-ASCII character puts the caret under the offending character,
+/// not one column further per extra UTF-8 byte.
+#[test]
+fn snslpc_caret_counts_characters() {
+    use std::io::Write;
+    use std::process::Stdio;
+
+    let src = "func @f(%p: ptr) -> void {\nentry:\n  %é = load f64, %p $\n  ret\n}\n";
+    let mut child = Command::new(env!("CARGO_BIN_EXE_snslpc"))
+        .arg("-")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("snslpc runs");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(src.as_bytes())
+        .expect("write stdin");
+    let out = child.wait_with_output().expect("snslpc exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("line 3, column 21: unexpected character `$`"),
+        "{stderr}"
+    );
+    let lines: Vec<&str> = stderr.lines().collect();
+    let at = lines
+        .iter()
+        .position(|l| l.ends_with("%p $"))
+        .expect("excerpt line");
+    let column = |line: &str, c: char| line.chars().position(|x| x == c);
+    assert_eq!(
+        column(lines[at], '$'),
+        column(lines[at + 1], '^'),
+        "{stderr}"
+    );
+}
