@@ -6,7 +6,7 @@
 //! are savings; the pass vectorizes when `total < threshold` (usually 0).
 
 use snslp_cost::{params, CostModel};
-use snslp_ir::{Function, InstId, InstKind, Type};
+use snslp_ir::{Function, InstKind, Type};
 
 use crate::chain::Sign;
 use crate::ctx::BlockCtx;
@@ -111,11 +111,7 @@ fn node_cost(f: &Function, node: &Node, width: u8, model: &CostModel) -> i32 {
         }
         NodeKind::Vector => {
             let scalar: i32 = node.scalars.iter().map(|&s| model.compile_cost(f, s)).sum();
-            let vec_cost = model.compile_cost_of(
-                f,
-                f.kind(node.scalars[0]),
-                vector_ty(f, node.scalars[0], width),
-            );
+            let vec_cost = model.compile_cost_of(f.kind(node.scalars[0]));
             vec_cost - scalar
         }
         NodeKind::Alt { ops } => {
@@ -125,7 +121,7 @@ fn node_cost(f: &Function, node: &Node, width: u8, model: &CostModel) -> i32 {
                 lhs: node.scalars[0],
                 rhs: node.scalars[0],
             };
-            let vec_cost = model.compile_cost_of(f, &kind, vector_ty(f, node.scalars[0], width));
+            let vec_cost = model.compile_cost_of(&kind);
             vec_cost - scalar
         }
         NodeKind::Reduction(info) => {
@@ -139,7 +135,7 @@ fn node_cost(f: &Function, node: &Node, width: u8, model: &CostModel) -> i32 {
                     lhs: node.scalars[0],
                     rhs: node.scalars[0],
                 };
-                model.compile_cost_of(f, &kind, vector_ty(f, node.scalars[0], width))
+                model.compile_cost_of(&kind)
             };
             let groups = node.operands.len() as i32;
             let log2 = (width as f64).log2() as i32;
@@ -159,7 +155,6 @@ fn node_cost(f: &Function, node: &Node, width: u8, model: &CostModel) -> i32 {
                 .sum();
             // Vector side: one combining op per slot beyond the first,
             // plus a fix-up op when slot 0 is not all-plus.
-            let vty = vector_ty(f, node.scalars[0], width);
             let mut vec_cost = 0;
             for (j, signs) in info.slot_signs.iter().enumerate() {
                 let uniform = signs.iter().all(|&s| s == signs[0]);
@@ -172,15 +167,11 @@ fn node_cost(f: &Function, node: &Node, width: u8, model: &CostModel) -> i32 {
                         Sign::Plus => info.family.direct(),
                         Sign::Minus => info.family.inverse(),
                     };
-                    model.compile_cost_of(
-                        f,
-                        &InstKind::Binary {
-                            op,
-                            lhs: node.scalars[0],
-                            rhs: node.scalars[0],
-                        },
-                        vty,
-                    )
+                    model.compile_cost_of(&InstKind::Binary {
+                        op,
+                        lhs: node.scalars[0],
+                        rhs: node.scalars[0],
+                    })
                 } else {
                     let ops: Vec<snslp_ir::BinOp> = signs
                         .iter()
@@ -189,27 +180,16 @@ fn node_cost(f: &Function, node: &Node, width: u8, model: &CostModel) -> i32 {
                             Sign::Minus => info.family.inverse(),
                         })
                         .collect();
-                    model.compile_cost_of(
-                        f,
-                        &InstKind::BinaryLanewise {
-                            ops: ops.into_boxed_slice(),
-                            lhs: node.scalars[0],
-                            rhs: node.scalars[0],
-                        },
-                        vty,
-                    )
+                    model.compile_cost_of(&InstKind::BinaryLanewise {
+                        ops: ops.into_boxed_slice(),
+                        lhs: node.scalars[0],
+                        rhs: node.scalars[0],
+                    })
                 };
                 vec_cost += cost;
             }
             vec_cost - scalar
         }
-    }
-}
-
-fn vector_ty(f: &Function, scalar: InstId, width: u8) -> Type {
-    match f.ty(scalar) {
-        Type::Scalar(st) => Type::vector(st, width),
-        ty => ty,
     }
 }
 

@@ -212,15 +212,6 @@ fn best_operand_match(
     }
 }
 
-/// Total score of a whole candidate group: the sum of adjacent-lane pair
-/// scores (paper Listing 2, line 14).
-pub fn score_group(f: &Function, group: &[InstId], depth: u32) -> i32 {
-    group
-        .windows(2)
-        .map(|w| score_pair(f, w[0], w[1], depth))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,16 +301,6 @@ mod tests {
     fn mismatched_kinds_fail() {
         let fx = fixture();
         assert_eq!(score_pair(&fx.f, fx.b0, fx.k1, 2), score::FAIL);
-    }
-
-    #[test]
-    fn group_score_sums_adjacent_pairs() {
-        let fx = fixture();
-        let g = score_group(&fx.f, &[fx.b0, fx.b1, fx.c0], 2);
-        assert_eq!(
-            g,
-            score_pair(&fx.f, fx.b0, fx.b1, 2) + score_pair(&fx.f, fx.b1, fx.c0, 2)
-        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   reproducing the paper's observation (§V-A) that the static cost model
 //!   is not a perfect predictor of real performance.
 
-use snslp_ir::{BinOp, Function, InstId, InstKind, Type, UnOp};
+use snslp_ir::{BinOp, Function, InstId, InstKind, UnOp};
 
 use crate::target::TargetDesc;
 
@@ -80,12 +80,13 @@ impl CostModel {
     /// Used by the vectorizer to price both the scalar code it removes and
     /// the vector code it inserts.
     pub fn compile_cost(&self, f: &Function, id: InstId) -> i32 {
-        self.compile_cost_of(f, f.kind(id), f.ty(id))
+        self.compile_cost_of(f.kind(id))
     }
 
-    /// Compile-time cost of a hypothetical instruction of kind `kind` and
-    /// type `ty` (the instruction need not exist yet).
-    pub fn compile_cost_of(&self, f: &Function, kind: &InstKind, ty: Type) -> i32 {
+    /// Compile-time cost of a hypothetical instruction of kind `kind` (the
+    /// instruction need not exist yet). The cost depends on the kind
+    /// alone, not on the type or the lane count.
+    pub fn compile_cost_of(&self, kind: &InstKind) -> i32 {
         match kind {
             InstKind::Param(_) | InstKind::Const(_) => 0,
             InstKind::Binary { op, .. } => self.binop_cost(*op),
@@ -110,10 +111,7 @@ impl CostModel {
             InstKind::Cast { .. } => params::BINOP,
             InstKind::Cmp { .. } | InstKind::Select { .. } => params::BINOP,
             InstKind::Load { .. } => params::LOAD,
-            InstKind::Store { value, .. } => {
-                let _ = f.ty(*value);
-                params::STORE
-            }
+            InstKind::Store { .. } => params::STORE,
             InstKind::PtrAdd { .. } => 0,
             InstKind::Splat { .. } => params::SHUFFLE,
             InstKind::BuildVector { elems } => params::INSERT * elems.len() as i32,
@@ -121,10 +119,7 @@ impl CostModel {
             InstKind::InsertElement { .. } => params::INSERT,
             InstKind::Shuffle { .. } => params::SHUFFLE,
             InstKind::Phi { .. } => 0,
-            InstKind::Jump { .. } | InstKind::Branch { .. } | InstKind::Ret { .. } => {
-                let _ = ty;
-                0
-            }
+            InstKind::Jump { .. } | InstKind::Branch { .. } | InstKind::Ret { .. } => 0,
         }
     }
 
@@ -186,7 +181,7 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snslp_ir::{FunctionBuilder, Param, ScalarType};
+    use snslp_ir::{FunctionBuilder, Param, ScalarType, Type};
 
     fn model() -> CostModel {
         CostModel::new(TargetDesc::sse2_like())
