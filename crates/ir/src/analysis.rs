@@ -149,14 +149,18 @@ impl MemLoc {
 /// Two accesses with the same decomposed root do not alias iff their
 /// constant ranges are disjoint. Accesses rooted at *distinct* `noalias`
 /// parameters never alias. Everything else may alias.
+///
+/// The `noalias` test reads each location's `base`: the decomposed root
+/// lies on the same `ptradd` chain, so it has the same ultimate base, and
+/// starting from `base` skips walking that chain again.
 pub fn may_alias(f: &Function, a: &MemLoc, b: &MemLoc) -> bool {
     if a.addr.root == b.addr.root {
         let (ao, bo) = (a.addr.offset, b.addr.offset);
         let disjoint = ao + i64::from(a.size) <= bo || bo + i64::from(b.size) <= ao;
         return !disjoint;
     }
-    let na = noalias_param_base(f, a.addr.root);
-    let nb = noalias_param_base(f, b.addr.root);
+    let na = noalias_param_base(f, a.base);
+    let nb = noalias_param_base(f, b.base);
     !matches!((na, nb), (Some(pa), Some(pb)) if pa != pb)
 }
 
