@@ -76,17 +76,23 @@ pub fn apply(
     em.emit_node(graph.root())?;
 
     // Extracts for externally used vectorized scalars; reduction roots
-    // are replaced by their scalar result directly.
-    let users = em.f.users();
+    // are replaced by their scalar result directly. A scalar is used
+    // externally when an instruction outside the graph reads it.
+    let mut external = vec![false; em.f.num_inst_slots()];
+    for b in em.f.block_ids() {
+        for &u in em.f.block(b).insts() {
+            if !graph.covered.contains_key(&u) {
+                em.f.kind(u)
+                    .for_each_operand(|op| external[op.index()] = true);
+            }
+        }
+    }
     let mut rauw: Vec<(InstId, InstId)> = Vec::new();
     for (&inst, _) in graph.covered.iter() {
         if em.f.ty(inst) == Type::Void {
             continue;
         }
-        let external = users[inst.index()]
-            .iter()
-            .any(|u| !graph.covered.contains_key(u));
-        if external {
+        if external[inst.index()] {
             if let Some(&v) = em.reduction_values.get(&inst) {
                 rauw.push((inst, v));
             } else {
