@@ -309,19 +309,6 @@ impl Function {
         counts
     }
 
-    /// For each arena slot, the list of linked instructions using it.
-    pub fn users(&self) -> Vec<Vec<InstId>> {
-        let mut users = vec![Vec::new(); self.insts.len()];
-        for b in &self.blocks {
-            for &id in &b.insts {
-                self.insts[id.index()]
-                    .kind
-                    .for_each_operand(|op| users[op.index()].push(id));
-            }
-        }
-        users
-    }
-
     /// Predecessor blocks of every block.
     pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
         let mut preds = vec![Vec::new(); self.blocks.len()];
@@ -438,8 +425,6 @@ mod tests {
         let counts = f.use_counts();
         let x = f.param(0);
         assert_eq!(counts[x.index()], 1);
-        let users = f.users();
-        assert_eq!(users[x.index()].len(), 1);
     }
 
     #[test]
