@@ -4,8 +4,9 @@
 //! compares an *original* against a *transformed* function and therefore
 //! tolerates fast-math reassociation noise — both backends here execute
 //! the **same** function, so every observable must agree **bit-exactly**:
-//! the returned value's bit pattern, the trap kind, the remaining fuel,
-//! and the entire final memory image.
+//! the returned value's bit pattern, the trap kind, the remaining fuel
+//! (observable only on a normal return), and the entire final memory
+//! image.
 
 use std::collections::BTreeMap;
 
